@@ -3,8 +3,9 @@
 The router plans in *logical* coordinates and consults the controller's
 remap + the chip's health to decide which cells are usable.  Faulty cells,
 explicitly blocked cells (other droplets plus their spacing halo) are
-avoided.  A* with the exact lattice distance as heuristic returns shortest
-paths; BFS is exposed separately for callers that want plain reachability.
+avoided.  A* with the lattice distance as heuristic returns shortest paths
+on an unremapped array (under a remap it may not; see
+``Router._heuristic_for``); reachability is exposed separately.
 """
 
 from __future__ import annotations
@@ -88,7 +89,10 @@ class Router:
         dst: Hashable,
         blocked: Iterable[Hashable] = (),
     ) -> List[Hashable]:
-        """Shortest usable logical path from ``src`` to ``dst`` (inclusive).
+        """A* usable logical path from ``src`` to ``dst`` (inclusive).
+
+        Shortest on an unremapped array; under a remap it can be longer
+        (see :meth:`_heuristic_for`).
 
         ``blocked`` cells are treated as unusable (other droplets and their
         spacing halos).  Raises :class:`RoutingError` when no path exists —
@@ -162,10 +166,15 @@ class Router:
     # -- helpers -----------------------------------------------------------------
     def _heuristic_for(self, sample: Hashable) -> Callable[[Hashable, Hashable], int]:
         # Logical coordinates under a remap are still lattice coordinates,
-        # and remapped cells sit adjacent to their logical position, so the
-        # lattice metric stays admissible (it can underestimate by at most
-        # the remap perturbation, never overestimate enough to break A*
-        # optimality in practice; exactness is covered by tests).
+        # so A* steers by the lattice distance.  Without a remap logical
+        # neighbours sit at lattice distance 1 and the heuristic is
+        # admissible: routes are shortest.  Under a remap it is not: a
+        # logical neighbour served by a spare can sit at lattice distance
+        # 2, so the heuristic can overestimate and A* can return a route
+        # longer than the shortest (tests pin a fault map where it is one
+        # move longer than BFS).  Functional verdicts are defined by this
+        # A*, not by shortest paths; the functional funnel's index-space
+        # residue replays it move for move.
         if hasattr(sample, "distance"):
             return lambda a, b: a.distance(b)
         return lambda a, b: 0

@@ -7,8 +7,9 @@ question — after remapping, does the assay still route and schedule?
 (:class:`RoutingCriterion`, :class:`MultiplexedCriterion`).  Criteria are
 the success-side mirror of the defect-model subsystem on the sampling
 side: content-digested for cache keys and provenance, vectorized through
-an exact screen funnel (:mod:`repro.functional.funnel`) so the expensive
-fluidics stack only runs on the ambiguous residue.
+an exact screen funnel (:mod:`repro.functional.funnel`) so per-run repair
+and routing (:mod:`repro.functional.residue`, an index-space replay of the
+fluidics stack) only runs on the ambiguous residue.
 """
 
 from repro.functional.criteria import (

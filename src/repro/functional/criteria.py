@@ -27,8 +27,8 @@ Every criterion carries a stable content ``digest()`` (the defect-model
 convention) that enters engine cache keys and manifest provenance, and a
 vectorized ``evaluate_batch(struct, alive, verdict)`` that decides a whole
 survival batch at once through the screen funnel in
-:mod:`repro.functional.funnel` — cheap exact screens first, the expensive
-scheduler only on the ambiguous residue.  :class:`CriterionStats` counts
+:mod:`repro.functional.funnel` — cheap exact screens first, per-run
+repair and routing only on the ambiguous residue.  :class:`CriterionStats` counts
 where each run was decided, stage by stage, exactly as
 :class:`~repro.yieldsim.kernel.ScreenStats` does for the matching funnel.
 
@@ -77,8 +77,8 @@ class CriterionStats:
     the fault-free baseline verdict; ``route_clear`` runs kept the entire
     fault-free route alive (routing criterion only — exact success);
     ``unreachable`` runs lost physical connectivity for some leg (exact
-    failure); only ``residue`` runs paid for the real scheduler, of which
-    ``residue_ok`` succeeded.
+    failure); only ``residue`` runs paid for per-run repair and routing,
+    of which ``residue_ok`` succeeded.
     """
 
     runs: int = 0
@@ -91,7 +91,7 @@ class CriterionStats:
 
     @property
     def screened(self) -> int:
-        """Runs decided without driving the scheduler."""
+        """Runs decided without per-run repair and routing."""
         return self.runs - self.residue
 
     def merge(self, other: "CriterionStats") -> None:

@@ -1,11 +1,11 @@
 """Screen-funnel evaluation of functional success criteria.
 
-Deciding "does the assay still run on this repaired chip?" with the real
-:class:`~repro.fluidics.scheduler.Scheduler` costs a Python A* per route
-per run — exactly the per-run cost the matching kernel's funnel was built
-to avoid.  This module reuses that idiom for the criterion layer: a
-cascade of *exact* vectorized screens decides most runs of a survival
-batch at once, and only the ambiguous residue pays for the scheduler.
+Deciding "does the assay still run on this repaired chip?" means a
+repair plan plus a Python A* per route per run — exactly the per-run cost
+the matching kernel's funnel was built to avoid.  This module reuses that
+idiom for the criterion layer: a cascade of *exact* vectorized screens
+decides most runs of a survival batch at once, and only the ambiguous
+residue pays for per-run routing.
 
 The funnel, in order (every stage is exact — never a heuristic):
 
@@ -37,18 +37,24 @@ The funnel, in order (every stage is exact — never a heuristic):
    already exceed the deadline (sum for sequential legs, max for the
    concurrent makespan), the run fails — whatever the scheduler would
    try.
-5. **residue** — whatever remains is decided by brute force: build the
-   run's :class:`~repro.reconfig.local.RepairPlan` (extended so faulty
-   primaries outside the needed set become routed-around dead cells),
-   install the :class:`~repro.reconfig.remap.CellRemap`, and drive the
-   real scheduler (:class:`RoutingCriterion`) or
-   :class:`~repro.fluidics.concurrent_routing.ConcurrentRouter`
-   (:class:`MultiplexedCriterion`).
+5. **residue** — whatever remains is decided run by run by
+   :class:`~repro.functional.residue.ResidueProgram`, an index-space
+   replay of the object-model fluidics stack: the local-repair matching
+   (faulty primaries outside the needed set become routed-around dead
+   cells), the logical remap, and the
+   :class:`~repro.fluidics.scheduler.Scheduler`'s A* legs
+   (:class:`RoutingCriterion`) or the
+   :class:`~repro.fluidics.concurrent_routing.ConcurrentRouter`'s plan
+   (:class:`MultiplexedCriterion`), on integer arrays at ~0.1-1 ms per
+   run instead of ~2-30 ms.  The object stack stays the library API and
+   the tests' oracle (``tests/functional_oracle.py``).
 
 Per-(structure, criterion) precomputation — site placement, anchor
-masks, padded physical adjacency, the fault-free baseline verdict — is
-cached on the :class:`~repro.yieldsim.kernel.RepairStructure` via a weak
-map, the ``geometry_for`` idiom of :mod:`repro.yieldsim.defects`.
+masks, padded physical adjacency, the residue's integer tables, the
+fault-free baseline verdict (the residue evaluator on an all-alive
+row) — is cached on the :class:`~repro.yieldsim.kernel.RepairStructure`
+via a weak map, the ``geometry_for`` idiom of
+:mod:`repro.yieldsim.defects`.
 
 :func:`criterion_successes` is the criterion twin of
 :func:`repro.yieldsim.kernel.model_successes`: identical sampling loop
@@ -59,22 +65,16 @@ criterion evaluated on cache-sized sub-slices of each batch.
 from __future__ import annotations
 
 import weakref
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Tuple
 
 import numpy as np
 
-from repro.assays.library import assay_by_analyte
-from repro.errors import FluidicsError, ReconfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.faults.injection import RngLike, make_rng
-from repro.fluidics.concurrent_routing import ConcurrentRouter, RouteRequest
-from repro.fluidics.controller import ElectrodeController
-from repro.fluidics.operations import Discard, Dispense, Operation, Transport
-from repro.fluidics.scheduler import Scheduler
 from repro.functional.criteria import CriterionStats, SuccessCriterion
-from repro.obs import profile as _profile
+from repro.functional.residue import ResidueProgram
 from repro.functional.sites import multiplexed_endpoints, routing_sites, site_legs
-from repro.reconfig.local import RepairPlan, plan_local_repair
-from repro.reconfig.remap import CellRemap
+from repro.obs import profile as _profile
 from repro.yieldsim.defects import DefectModel
 from repro.yieldsim.kernel import (
     _CLASSIFY_BYTES,
@@ -145,29 +145,7 @@ class _FunnelContext:
         self.primary_mask = np.zeros(n, dtype=bool)
         self.primary_mask[self.primary_cols] = True
 
-        self.needed_coords: List[Hashable] = [
-            coords[int(i)] for i in struct.needed_idx
-        ]
-        needed_set = set(self.needed_coords)
-        #: (n_cells,) mask of primaries *outside* the needed set: faulty
-        #: ones become routed-around dead cells in the residue's plan.
-        self.unneeded_primary_mask = np.array(
-            [
-                chip[c].is_primary and c not in needed_set
-                for c in coords
-            ],
-            dtype=bool,
-        )
-
-        # Padded physical adjacency over every cell (spares included).
-        nbr_lists = [[index[x] for x in chip.neighbors(c)] for c in coords]
-        width = max((len(lst) for lst in nbr_lists), default=0) or 1
-        self.nbr_pos = np.zeros((n, width), dtype=np.int32)
-        self.nbr_mask = np.zeros((n, width), dtype=bool)
-        for i, lst in enumerate(nbr_lists):
-            for d, j in enumerate(lst):
-                self.nbr_pos[i, d] = j
-                self.nbr_mask[i, d] = True
+        needed_set = {coords[int(i)] for i in struct.needed_idx}
 
         # -- criterion-specific program ----------------------------------
         if self.concurrent:
@@ -177,24 +155,23 @@ class _FunnelContext:
             self.legs: Tuple[Tuple[Hashable, Hashable], ...] = tuple(
                 zip(sources, targets)
             )
-            self.requests = tuple(
-                RouteRequest(name=f"{analyte}:{i}", source=src, target=dst)
-                for i, (analyte, (src, dst)) in enumerate(
-                    zip(criterion.assays, self.legs)
-                )
-            )
-            self.leg_contents: Tuple[Dict[str, float], ...] = ()
         else:
-            sites = routing_sites(chip)
-            self.legs = tuple(site_legs(sites))
-            self.requests = ()
-            assay = assay_by_analyte(criterion.assay)
-            lo, hi = assay.reference_range
-            self.leg_contents = (
-                {assay.analyte: (lo + hi) / 2.0},
-                dict(assay.reagent_contents),
-                {},
-            )
+            self.legs = tuple(site_legs(routing_sites(chip)))
+
+        #: the residue's integer tables (stage 5 and the S2 baseline)
+        self.program = ResidueProgram(
+            chip, struct.needed_idx, self.legs, self.concurrent, self.deadline
+        )
+
+        # Padded physical adjacency over every cell (spares included).
+        nbr_lists = self.program.nbrs
+        width = max((len(lst) for lst in nbr_lists), default=0) or 1
+        self.nbr_pos = np.zeros((n, width), dtype=np.int32)
+        self.nbr_mask = np.zeros((n, width), dtype=bool)
+        for i, lst in enumerate(nbr_lists):
+            for d, j in enumerate(lst):
+                self.nbr_pos[i, d] = j
+                self.nbr_mask[i, d] = True
 
         # Distinct functional sites; all alive => S3 eligibility.
         site_coords = sorted({c for leg in self.legs for c in leg})
@@ -224,60 +201,13 @@ class _FunnelContext:
             self.leg_anchors.append((pair_anchors[0], pair_anchors[1]))
 
         # -- fault-free baseline (the S2 verdict) -------------------------
-        chip0 = chip.copy()
-        chip0.clear_faults()
-        self.baseline_ok = self._evaluate_run(
-            chip0, CellRemap(chip0, RepairPlan({}, ()))
-        )
-
-        #: scratch chip for residue runs (health rewritten per run)
-        self._work_chip = chip.copy()
-
-    # -- residue: the definitional evaluator ------------------------------
-    def _evaluate_run(self, chip, remap) -> bool:
-        """Ground truth for one fault map: drive the real fluidics stack."""
-        try:
-            if self.concurrent:
-                plan = ConcurrentRouter(chip, remap).plan(list(self.requests))
-                return plan.makespan <= self.deadline
-            controller = ElectrodeController(chip, remap=remap)
-            ops: List[Operation] = []
-            for i, ((src, dst), contents) in enumerate(
-                zip(self.legs, self.leg_contents)
-            ):
-                handle = f"leg{i}"
-                ops.append(Dispense(handle, at=src, contents=dict(contents)))
-                ops.append(Transport(handle, to=dst))
-                ops.append(Discard(handle))
-            schedule = Scheduler(controller).run(ops)
-            return schedule.total_moves <= self.deadline
-        except (FluidicsError, ReconfigurationError):
-            return False
-
-    def _residue_run(self, row: np.ndarray) -> bool:
-        """Evaluate one undecided run from its survival row."""
-        chip = self._work_chip
-        coords = chip.coords
-        chip.clear_faults()
-        faulty_cols = np.flatnonzero(~row)
-        chip.apply_fault_map(coords[int(j)] for j in faulty_cols)
-        plan = plan_local_repair(chip, self.needed_coords)
-        if not plan.complete:  # unreachable: residue rows are matching-GOOD
-            return False
-        extras = tuple(
-            coords[int(j)]
-            for j in faulty_cols
-            if self.unneeded_primary_mask[j]
-        )
-        remap = CellRemap(
-            chip, RepairPlan(dict(plan.assignment), plan.unrepaired + extras)
-        )
-        return self._evaluate_run(chip, remap)
+        self.baseline_ok = self.program.success(np.ones(n, dtype=bool))
 
     # -- the funnel --------------------------------------------------------
-    def evaluate(
+    def screen(
         self, alive: np.ndarray, verdict: np.ndarray
-    ) -> Tuple[np.ndarray, CriterionStats]:
+    ) -> Tuple[np.ndarray, np.ndarray, CriterionStats]:
+        """Stages 1-4: (verdicts so far, undecided mask, stage counters)."""
         n_runs = alive.shape[0]
         stats = CriterionStats(runs=n_runs)
         ok = np.zeros(n_runs, dtype=bool)
@@ -345,13 +275,19 @@ class _FunnelContext:
                 failed = rows[fail]
                 undecided[failed] = False
                 stats.unreachable = int(fail.sum())
+        return ok, undecided, stats
 
-        # 5. residue: the real scheduler decides what's left.
+    def evaluate(
+        self, alive: np.ndarray, verdict: np.ndarray
+    ) -> Tuple[np.ndarray, CriterionStats]:
+        ok, undecided, stats = self.screen(alive, verdict)
+        # 5. residue: the index-space replay of the fluidics stack.
         with _profile.phase("funnel_residue"):
             rows = np.flatnonzero(undecided)
             stats.residue = int(rows.size)
+            success = self.program.success
             for r in rows:
-                got = self._residue_run(alive[r])
+                got = success(alive[r])
                 ok[r] = got
                 stats.residue_ok += int(got)
         return ok, stats

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chip.builders import plain_chip
 from repro.designs.catalog import DTMB_2_6
-from repro.designs.interstitial import build_chip
+from repro.designs.interstitial import build_chip, build_with_primary_count
 from repro.errors import RoutingError, SchedulingError
 from repro.fluidics.controller import ElectrodeController
 from repro.fluidics.operations import Detect, Discard, Dispense, Mix, Split, Transport
@@ -114,6 +116,33 @@ class TestRouter:
         path = router.route(primaries[0], victim)
         # Route ends at the logical victim; its physical image is the spare.
         assert path[-1] == victim
+
+    def test_remapped_astar_can_exceed_bfs(self):
+        """Under a remap the lattice heuristic is inadmissible.
+
+        The faulty target is served by a spare two lattice steps from one
+        of its logical neighbours, so A* settles for a route one move
+        longer than the shortest.  Functional verdicts are defined by this
+        A*; the pinned length keeps any change to it visible.
+        """
+        chip = build_with_primary_count(DTMB_2_6, 12).build()
+        chip.apply_fault_map([Hex(-1, 3), Hex(1, 2), Hex(3, 0)])
+        plan = plan_local_repair(chip)
+        assert plan.complete and Hex(3, 0) in plan.assignment
+        router = Router(chip, CellRemap(chip, plan))
+        src, dst = Hex(0, 3), Hex(3, 0)
+        # Plain BFS over the same logical graph.
+        dist = {src: 0}
+        queue = deque([src])
+        while queue:
+            cell = queue.popleft()
+            for nbr in router.neighbors(cell):
+                if nbr not in dist:
+                    dist[nbr] = dist[cell] + 1
+                    queue.append(nbr)
+        path = router.route(src, dst)
+        assert dist[dst] == 3
+        assert len(path) - 1 == dist[dst] + 1 == 4
 
 
 class TestScheduler:

@@ -3,7 +3,9 @@
 The contracts under test, in order of importance:
 
 * the screen funnel is *exact* — its verdicts equal brute-force
-  evaluation of every run through the real fluidics stack;
+  evaluation of every run through the real fluidics stack (the object
+  oracle in ``functional_oracle.py``), and its index-space residue
+  evaluator replays that stack run for run;
 * a functional point consumes the identical RNG stream as a matching
   point, so serial == pool == sharded bit-identity extends to criterion
   points (flat and adaptive);
@@ -16,11 +18,15 @@ The contracts under test, in order of importance:
 from __future__ import annotations
 
 import filecmp
+import functools
 import json
 import os
 
 import numpy as np
 import pytest
+from functional_oracle import FluidicsOracle
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.designs.catalog import DTMB_2_6, DTMB_3_6, DTMB_4_4
 from repro.designs.interstitial import build_with_primary_count
@@ -35,6 +41,8 @@ from repro.functional import (
     evaluate_functional,
 )
 from repro.functional.funnel import context_for
+from repro.functional.residue import ResidueProgram
+from repro.geometry.hex import Hex
 from repro.yieldsim.defects import IIDBernoulli
 from repro.yieldsim.engine import SweepEngine
 from repro.yieldsim.kernel import (
@@ -107,12 +115,12 @@ def test_matching_criterion_equals_kernel():
 
 # -- the funnel is exact ------------------------------------------------------
 
-def _reference_success(ctx, row, verdict):
-    """Brute force: skip every screen, drive the scheduler for any run
-    the matching kernel calls repairable."""
+def _reference_success(oracle, row, verdict):
+    """Brute force: skip every screen, drive the object fluidics stack
+    for any run the matching kernel calls repairable."""
     if verdict != GOOD:
         return False
-    return ctx._residue_run(row)
+    return oracle.success(row)
 
 
 @pytest.mark.parametrize(
@@ -128,7 +136,8 @@ def _reference_success(ctx, row, verdict):
 def test_funnel_matches_full_scheduler(spec, n, criterion):
     """Every screen verdict must agree with full scheduler evaluation."""
     struct = RepairStructure(_chip(spec, n))
-    ctx = context_for(struct, criterion)
+    oracle = FluidicsOracle(struct, criterion)
+    assert context_for(struct, criterion).baseline_ok == oracle.baseline_ok()
     rng = make_rng(7)
     for p in (0.88, 0.97):
         alive = IIDBernoulli(p).sample_batch(struct.geometry, 60, rng)
@@ -138,7 +147,7 @@ def test_funnel_matches_full_scheduler(spec, n, criterion):
         ok, stats = evaluate_functional(struct, criterion, alive, verdict)
         expected = np.array(
             [
-                _reference_success(ctx, alive[r], verdict[r])
+                _reference_success(oracle, alive[r], verdict[r])
                 for r in range(alive.shape[0])
             ]
         )
@@ -155,13 +164,109 @@ def test_dtmb44_functional_collapse():
     assay cannot run even on a fault-free chip, so functional yield is
     zero while matching yield is near one."""
     struct = RepairStructure(_chip(DTMB_4_4, 60))
-    ctx = context_for(struct, RoutingCriterion())
-    assert not ctx.baseline_ok
+    assert not FluidicsOracle(struct, RoutingCriterion()).baseline_ok()
+    assert not context_for(struct, RoutingCriterion()).baseline_ok
     got, _, crit = criterion_successes(
         struct, IIDBernoulli(0.99), RoutingCriterion(), 200, seed=5
     )
     assert got == 0
     assert crit.matching_fail < 200  # matching finds repairs; routing fails
+
+
+# -- index-space residue vs the object oracle ---------------------------------
+
+_DIFF_DESIGNS = (DTMB_2_6, DTMB_3_6, DTMB_4_4)
+_DIFF_CRITERIA = (
+    RoutingCriterion(deadline=18),
+    RoutingCriterion(deadline=200),
+    MultiplexedCriterion(deadline=14),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _diff_pair(design, subset, crit):
+    """(index-space program, object oracle) of one differential case.
+
+    ``subset`` protects every other primary only, so faulty primaries
+    outside the needed set become dead cells the routes must avoid.
+    """
+    chip = _chip(_DIFF_DESIGNS[design], 60)
+    needed = [c.coord for c in chip.primaries()][::2] if subset else None
+    struct = RepairStructure(chip, needed=needed)
+    criterion = _DIFF_CRITERIA[crit]
+    program = context_for(struct, criterion).program
+    return program, FluidicsOracle(struct, criterion)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    design=st.integers(0, len(_DIFF_DESIGNS) - 1),
+    subset=st.booleans(),
+    crit=st.integers(0, len(_DIFF_CRITERIA) - 1),
+    data=st.data(),
+)
+def test_residue_program_matches_oracle(design, subset, crit, data):
+    """Random fault maps: the index-space residue replays the object
+    stack — same verdict, same per-leg moves, same makespan."""
+    program, oracle = _diff_pair(design, subset, crit)
+    faulty = data.draw(
+        st.sets(st.integers(0, program.n_cells - 1), max_size=12),
+        label="faulty cells",
+    )
+    row = np.ones(program.n_cells, dtype=bool)
+    row[sorted(faulty)] = False
+    assert program.success(row) == oracle.success(row)
+    if program.concurrent:
+        plan = oracle.plan(row)
+        assert program.makespan(row) == (None if plan is None else plan.makespan)
+    else:
+        assert program.leg_moves(row) == oracle.leg_moves(row)
+
+
+def test_residue_program_replays_inadmissible_astar():
+    """The pinned fault map of the router tests: A* returns 4 moves where
+    BFS finds 3.  The residue must report A*'s 4, so a deadline of 3
+    fails exactly as the scheduler does."""
+    chip = _chip(DTMB_2_6, 12)
+    faults = {Hex(-1, 3), Hex(1, 2), Hex(3, 0)}
+    row = np.array([c not in faults for c in chip.coords])
+    struct = RepairStructure(chip)
+    program = ResidueProgram(
+        chip, struct.needed_idx, [(Hex(0, 3), Hex(3, 0))], False, 3
+    )
+    assert program.leg_moves(row) == [4]
+    assert not program.success(row)
+
+
+def test_concurrent_residue_matches_oracle_on_crowded_chip():
+    """Three concurrent routes on a 40-primary DTMB(2,6) chip meet, so the
+    planner's three spacing slices, wait-first move order and parking
+    check all shape the plans.  Every single fault, plus pinned double
+    faults where the wait move and the parking check decide the plan."""
+    chip = _chip(DTMB_2_6, 40)
+    criterion = MultiplexedCriterion(
+        assays=("glucose", "lactate", "glutamate"), deadline=14
+    )
+    struct = RepairStructure(chip)
+    program = context_for(struct, criterion).program
+    oracle = FluidicsOracle(struct, criterion)
+    index = {c: i for i, c in enumerate(chip.coords)}
+    fault_sets = [()] + [(c,) for c in chip.coords] + [
+        (Hex(0, 5), Hex(2, 5)),  # wait move first
+        (Hex(1, 3), Hex(2, 5)),
+        (Hex(1, 6), Hex(2, 5)),
+        (Hex(3, 2), Hex(4, 1)),  # parking check
+    ]
+    for faults in fault_sets:
+        row = np.ones(len(chip), dtype=bool)
+        row[[index[c] for c in faults]] = False
+        plan = oracle.plan(row)
+        expected = None if plan is None else plan.makespan
+        assert program.makespan(row) == expected, faults
 
 
 # -- engine bit-identity ------------------------------------------------------
