@@ -60,13 +60,6 @@ __all__ = [
     "available_criteria",
 ]
 
-#: Prefix of criterion counters on the worker wire dict, so one flat dict
-#: can carry :class:`~repro.yieldsim.kernel.ScreenStats` keys and
-#: criterion keys side by side with no collisions (both ``from_dict``
-#: readers filter to their own keys).
-_WIRE_PREFIX = "crit_"
-
-
 @dataclass
 class CriterionStats:
     """Where the runs of a batch were decided, criterion stage by stage.
@@ -100,25 +93,8 @@ class CriterionStats:
             setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def as_dict(self) -> Dict[str, int]:
-        """Plain-keyed counters (telemetry blocks, ``PointRecord``)."""
+        """Plain-keyed counters (telemetry blocks, checkpoints, ``PointRecord``)."""
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
-
-    def wire_dict(self) -> Dict[str, int]:
-        """``crit_``-prefixed counters for the worker wire dict."""
-        return {
-            _WIRE_PREFIX + name: getattr(self, name)
-            for name in self.__dataclass_fields__
-        }
-
-    @classmethod
-    def from_wire(cls, data: Mapping[str, int]) -> "CriterionStats":
-        """Rebuild from a wire dict, ignoring foreign (screen) keys."""
-        fields = cls.__dataclass_fields__
-        out = {}
-        for key, value in data.items():
-            if key.startswith(_WIRE_PREFIX) and key[len(_WIRE_PREFIX):] in fields:
-                out[key[len(_WIRE_PREFIX):]] = int(value)
-        return cls(**out)
 
 
 @runtime_checkable

@@ -6,12 +6,12 @@ armed on the thread, :func:`phase` is a no-op costing one attribute
 lookup — the functional funnel keeps its hooks in place permanently
 and pays nothing on the plain matching path.
 
-Captured timings ride the compute unit's wire stats dict under
-``time_``-prefixed keys, are attributed per point by the scheduler into
-``PointRecord.timings``, and are summed into the manifest's
-``engine.timings`` block.  Like every other telemetry channel they are
-manifest-only: timings never enter results, cache keys, or stable
-digests.
+Each compute unit arms its own capture, so its timings travel in its
+typed ``UnitResult.timings`` and are recorded once, for the one point the
+unit belongs to, in ``PointRecord.timings``; the manifest's
+``engine.timings`` block sums those.  Like every other telemetry channel
+they are manifest-only: timings never enter results, cache keys, or
+stable digests.
 """
 
 from __future__ import annotations

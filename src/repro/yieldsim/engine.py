@@ -8,9 +8,12 @@ Since the scheduler/executor split it is a thin facade over two layers:
 * :mod:`repro.yieldsim.scheduler` — the pure
   :class:`~repro.yieldsim.scheduler.PointScheduler`: chip payload
   canonicalization, point-cache key derivation and the on-disk
-  :class:`~repro.yieldsim.scheduler.PointCache`, flat-point chunking,
-  within-point shard plans, and the strict in-order fold with stop-rule
-  speculation for adaptive points.
+  :class:`~repro.yieldsim.scheduler.PointCache`, and one unit model for
+  every point — a plan of units (one for a flat point, the shard plan
+  for a batched one) folded strictly in order by a single
+  submit/collect/fold loop, with stop-rule speculation for adaptive
+  points.  It returns one
+  :class:`~repro.yieldsim.scheduler.PointOutcome` per task.
 * :mod:`repro.yieldsim.executors` — *where* compute units run: the
   :class:`~repro.yieldsim.executors.Executor` protocol with
   :class:`~repro.yieldsim.executors.SerialExecutor` (in-process),
@@ -22,8 +25,9 @@ Since the scheduler/executor split it is a thin facade over two layers:
 :class:`SweepEngine` keeps the historical user-facing API —
 ``SweepEngine(jobs=..., cache_dir=..., shard_runs=...)`` — plus run
 accounting (budget log, cache traffic, screen stats) and convenience
-estimators.  Pass ``executor=`` to pin a specific backend; otherwise
-``jobs`` picks the serial or pool backend exactly as before.
+estimators; :meth:`SweepEngine.run_points` turns each outcome into a
+:class:`PointRecord`.  Pass ``executor=`` to pin a specific backend;
+otherwise ``jobs`` picks the serial or pool backend exactly as before.
 
 The screen->match funnel
 ------------------------
@@ -73,7 +77,6 @@ and remain bit-identical to the pre-engine implementation.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
@@ -112,42 +115,6 @@ __all__ = [
     "payload_digest",
 ]
 
-#: Deprecation shim: names that used to live (or would be guessed to
-#: live) in this module resolve to their new homes with a warning, so
-#: pre-split deep imports keep working while callers migrate to
-#: :mod:`repro.yieldsim.scheduler` / :mod:`repro.yieldsim.executors` (or
-#: the top-level :mod:`repro` API).
-#: Names that moved out in the scheduler/executor split and are *not*
-#: part of this facade's own working set (those — Executor,
-#: default_executor, PointCache, PointScheduler — remain importable here
-#: as ordinary attributes).  Deep imports of these resolve with a
-#: DeprecationWarning pointing at the new home.
-_MOVED = {
-    "SerialExecutor": ("repro.yieldsim.executors", "SerialExecutor"),
-    "InlineExecutor": ("repro.yieldsim.executors", "InlineExecutor"),
-    "PoolExecutor": ("repro.yieldsim.executors", "PoolExecutor"),
-    "_compute_batch": ("repro.yieldsim.scheduler", "compute_chunk"),
-    "_compute_shard": ("repro.yieldsim.scheduler", "compute_shard"),
-    "_structure_from_payload": ("repro.yieldsim.scheduler", "structure_from_payload"),
-}
-
-
-def __getattr__(name: str):
-    moved = _MOVED.get(name)
-    if moved is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module_name, attr = moved
-    warnings.warn(
-        f"importing {name!r} from repro.yieldsim.engine is deprecated; "
-        f"use {module_name}.{attr}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)
-
-
 @dataclass(frozen=True)
 class PointRecord:
     """Requested-vs-effective budget accounting for one executed point.
@@ -163,17 +130,22 @@ class PointRecord:
     three stay ``None`` for default matching points, so legacy records
     and their serialized form are unchanged.
 
-    ``incidents`` counts the recovery work this point's units needed —
-    retries, timeouts, corrupt payloads, pool rebuilds — and is ``None``
-    (and absent from the serialized form) for the overwhelmingly common
-    incident-free point, so records only mention resilience when it
-    actually fired.  Incidents are telemetry, not results: two runs of a
-    point may differ in incidents while their numbers are identical.
+    ``incidents`` counts the recovery work this point's submissions
+    needed — retries, timeouts, corrupt payloads, pool rebuilds — and is
+    ``None`` (and absent from the serialized form) for the overwhelmingly
+    common incident-free point, so records only mention resilience when
+    it actually fired.  A submission that packed several flat points
+    attributes its incidents to the first of them only, so the records
+    of a run sum to the engine's :class:`ResilienceStats` growth in
+    retries, timeouts and corrupt payloads.  Incidents are telemetry,
+    not results: two runs of a point may differ in incidents while their
+    numbers are identical.
 
     ``timings`` carries per-phase wall/CPU seconds for *computed* points
-    (worker unit totals, funnel phases, parent-side cache/fold costs) and
-    is ``None`` for cache hits.  Like incidents, timings are volatile
-    telemetry: manifest-only, never part of stable digests or artifacts.
+    (the point's own units' worker totals and funnel phases, parent-side
+    cache/fold costs) and is ``None`` for cache hits.  Like incidents,
+    timings are volatile telemetry: manifest-only, never part of stable
+    digests or artifacts.
     """
 
     kind: str
@@ -383,11 +355,11 @@ class SweepEngine:
     ) -> List[YieldEstimate]:
         """Estimates for ``tasks``, in order; shards across the executor.
 
-        Flat points run through the legacy chunked path (bit-identical to
-        the pre-engine implementation); points with a stop rule or beyond
-        ``shard_runs`` run through the batched path (see the module
-        docstring).  Each estimate's ``trials`` is the point's *effective*
-        budget — equal to ``spec.runs`` for flat points, possibly smaller
+        Flat points run as one-fold plans on the legacy stream
+        (bit-identical to the pre-engine implementation); points with a
+        stop rule or beyond ``shard_runs`` fold their batch plans (see the
+        module docstring).  Each estimate's ``trials`` is the point's
+        *effective* budget — equal to ``spec.runs`` for flat points, possibly smaller
         for adaptive ones — and :attr:`point_log` records the
         requested-vs-effective pair for every task.  ``on_fold(i,
         successes, trials)`` observes every in-order fold of a batched
@@ -395,32 +367,22 @@ class SweepEngine:
         as per-fold NDJSON progress.
         """
         executor = self.executor if self.executor is not None else default_executor(self.jobs)
-        crit_out: List[Optional[Dict[str, int]]] = [None] * len(tasks)
-        incidents_out: List[Optional[Dict[str, int]]] = [None] * len(tasks)
-        timings_out: List[Optional[Dict[str, float]]] = [None] * len(tasks)
-        raw = self.scheduler.run(
-            tasks,
-            executor,
-            progress=self.progress,
-            on_fold=on_fold,
-            stats=self.screen_stats,
-            crit_out=crit_out,
-            incidents_out=incidents_out,
-            timings_out=timings_out,
+        outcomes = self.scheduler.run(
+            tasks, executor, progress=self.progress, on_fold=on_fold
         )
         estimates: List[YieldEstimate] = []
-        for task, (got, trials), crit, incidents, timings in zip(
-            tasks, raw, crit_out, incidents_out, timings_out
-        ):
+        for task, out in zip(tasks, outcomes):
             self.runs_requested += task.spec.runs
-            self.runs_effective += trials
+            self.runs_effective += out.trials
+            if out.screen is not None:
+                self.screen_stats.merge(out.screen)
             criterion = task.spec.criterion
             self.point_log.append(
                 PointRecord(
                     kind=task.spec.kind,
                     param=task.spec.param,
                     requested=task.spec.runs,
-                    effective=trials,
+                    effective=out.trials,
                     adaptive=task.stop is not None,
                     model=task.spec.model.name if task.spec.model else None,
                     model_digest=(
@@ -430,12 +392,12 @@ class SweepEngine:
                     criterion_digest=(
                         criterion.digest() if criterion is not None else None
                     ),
-                    funnel=crit,
-                    incidents=incidents,
-                    timings=timings,
+                    funnel=out.funnel.as_dict() if out.funnel is not None else None,
+                    incidents=out.incidents,
+                    timings=out.timings,
                 )
             )
-            estimates.append(YieldEstimate(successes=got, trials=trials))
+            estimates.append(YieldEstimate(successes=out.successes, trials=out.trials))
         return estimates
 
     # -- conveniences ----------------------------------------------------------

@@ -1,10 +1,10 @@
 """Fault tolerance for the execution stack: retries, timeouts, fault injection.
 
 The engine's seed-derivation contract makes recovery *free of semantics*:
-every compute unit — a flat point chunk or a within-point batch — is a
-pure function of its arguments (chip payload, spec, shard seed), so a
-crashed, hung, corrupted or preempted unit can simply be executed again
-and must produce the identical result.  This module turns that property
+every compute unit — a flat point's single fold or one batch of a
+batched point — is a pure function of its arguments (chip payload, spec,
+stream), so a crashed, hung, corrupted or preempted unit can simply be
+executed again and must produce the identical result.  This module turns that property
 into an execution policy:
 
 :class:`RetryPolicy`
@@ -275,10 +275,10 @@ class _Unit:
 class UnitRunner:
     """Submit/collect compute units with the retry policy applied.
 
-    The scheduler drives both of its loops (flat chunks, batched shards)
-    through one runner per :meth:`~repro.yieldsim.scheduler.PointScheduler.run`
-    call.  ``submit`` launches a unit under an opaque ``token``;
-    ``collect`` blocks until at least one unit *definitively* completes —
+    The scheduler drives its one submit/collect/fold loop through one
+    runner per :meth:`~repro.yieldsim.scheduler.PointScheduler.run` call.
+    ``submit`` launches a submission (one or more packed units) under an
+    opaque ``token``; ``collect`` blocks until at least one unit *definitively* completes —
     retrying crashed, timed-out and corrupted attempts internally, with
     deterministic backoff — and returns ``(token, value)`` pairs.  A unit
     that exhausts its attempts raises :class:`~repro.errors.UnitFailure`;
@@ -292,7 +292,10 @@ class UnitRunner:
     ``pool_rebuilds`` (default 2 without a policy).
 
     Per-token incident counts accumulate in :attr:`incidents` so the
-    engine can attribute recovery work to individual sweep points.
+    engine can attribute recovery work to individual sweep points.  A
+    retry, timeout or corrupt payload is noted once, under the counter it
+    bumps in :class:`ResilienceStats`, so for those three the per-token
+    counts sum to the stats delta.
     """
 
     def __init__(
@@ -393,7 +396,11 @@ class UnitRunner:
 
     # -- recovery decisions ----------------------------------------------------
     def _retry_or_raise(self, unit: _Unit, exc: BaseException, kind: str) -> None:
-        """Account one failed attempt; back off for a retry or give up."""
+        """Account one failed attempt; back off for a retry or give up.
+
+        ``kind`` names the failure for the event log only; the attempt
+        itself is always noted as one ``retries`` incident.
+        """
         if self.policy is None:
             if isinstance(exc, Exception):
                 raise exc
@@ -404,7 +411,7 @@ class UnitRunner:
                 f"attempts: {exc!r}"
             ) from (exc if isinstance(exc, BaseException) else None)
         self.stats.retries += 1
-        self._note(unit.token, kind)
+        self._note(unit.token, "retries")
         self._incident("unit_retry", unit, kind=kind, error=repr(exc))
         self.sleep(self.policy.delay(unit.attempts))
 
@@ -559,20 +566,21 @@ _CORRUPT_OFFSET = 1_000_000_007
 
 
 def _corrupt_payload(value: Any) -> Any:
-    """A plausible-shaped but wrong unit payload (what bit-rot returns)."""
+    """A plausible-shaped but wrong unit payload (what bit-rot returns).
+
+    A list (a packed submission's per-unit results) is corrupted element
+    by element; a named tuple keeps its type, so only bounds checking can
+    tell the bumped count apart.
+    """
+    if isinstance(value, list) and value:
+        return [_corrupt_payload(item) for item in value]
     if isinstance(value, tuple) and value:
         head = value[0]
         if isinstance(head, bool) or head is None:
             return ("__corrupted__",) + value[1:]
         if isinstance(head, int):
-            return (head + _CORRUPT_OFFSET,) + value[1:]
-        if isinstance(head, list):
-            return (
-                [
-                    v + _CORRUPT_OFFSET if isinstance(v, int) else v
-                    for v in head
-                ],
-            ) + value[1:]
+            bumped = (head + _CORRUPT_OFFSET,) + value[1:]
+            return value._make(bumped) if hasattr(value, "_make") else bumped
     return ("__corrupted__", value)
 
 

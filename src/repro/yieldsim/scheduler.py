@@ -1,11 +1,17 @@
-"""Pure point scheduling: keys, cache, chunking, fold order, speculation.
+"""Pure point scheduling: keys, cache, unit plans, fold order, speculation.
 
 This module is the scheduling half of the engine split.  It owns
 everything that determines *what* a sweep computes and in *what order*
 results fold together — chip payload canonicalization and digests,
-point-cache key derivation and the on-disk :class:`PointCache`, flat-point
-chunk grouping, within-point shard plans, and the strict in-order fold
-with stop-rule speculation for adaptive points.  It owns nothing about
+point-cache key derivation and the on-disk :class:`PointCache`, and one
+unit model for every point.  Each computed point is a *plan of units*
+folded strictly in order: a flat point is a one-fold plan whose unit
+draws the legacy ``spec.seed`` stream; a batched (sharded or adaptive)
+point folds its ``shard_plan`` units, unit ``k`` drawing from
+``shard_seed(entropy, k)``, with the stop rule checked after each fold.
+Packing is only a submission decision: flat units of one chip travel up
+to ``_CHUNK_POINTS`` per submission, batched units one per submission.
+One submit/collect/fold loop serves both.  The module owns nothing about
 *where* compute units run: that is the
 :class:`~repro.yieldsim.executors.Executor` passed into
 :meth:`PointScheduler.run`.
@@ -31,14 +37,16 @@ import json
 import logging
 import os
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Hashable,
     Iterable,
+    Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -68,7 +76,6 @@ from repro.yieldsim.kernel import (
     point_model,
     shard_plan,
     shard_seed,
-    simulate_points,
 )
 from repro.obs import profile as _profile
 from repro.obs.events import get_logger, log_event
@@ -80,11 +87,16 @@ from repro.yieldsim.resilience import (
 )
 from repro.yieldsim.stats import StopRule
 
+if TYPE_CHECKING:
+    from repro.functional.criteria import CriterionStats
+
 __all__ = [
     "ENGINE_VERSION",
     "EnginePoint",
     "PointCache",
+    "PointOutcome",
     "PointScheduler",
+    "UnitResult",
     "chip_payload",
     "payload_digest",
 ]
@@ -94,8 +106,8 @@ _log = get_logger("scheduler")
 #: Bump when the kernel/sampling semantics change, to invalidate caches.
 ENGINE_VERSION = 1
 
-#: Maximum points per shard: small enough to load-balance a grid across
-#: workers, large enough to amortize per-chunk pickling.
+#: Maximum flat units per submission: small enough to load-balance a grid
+#: across workers, large enough to amortize per-submission pickling.
 _CHUNK_POINTS = 4
 
 #: Callback invoked after each in-order fold of a batched point:
@@ -184,113 +196,68 @@ def _structure_for(digest: str, payload: Dict[str, object]) -> RepairStructure:
     return struct
 
 
-def _unit_timing(wall0: float, cpu0: float,
-                 phases: Dict[str, float]) -> Dict[str, float]:
-    """``time_``-prefixed wall/CPU keys riding a unit's wire stats dict.
+class UnitResult(NamedTuple):
+    """What one compute unit reports: its successes plus its telemetry.
 
-    Both stat readers (:meth:`ScreenStats.from_dict` filters to its own
-    fields, :meth:`CriterionStats.from_wire` to ``crit_``-prefixed keys)
-    ignore these, so timings stay out-of-band: they never reach results,
-    cache entries, checkpoints, or stable digests.
+    ``screen`` and ``funnel`` (``None`` for default matching points) are
+    the unit's own counters; ``timings`` its worker-side wall/CPU seconds
+    (``wall_s``/``cpu_s``) plus any funnel phases.  Telemetry stays
+    out-of-band: it never reaches results, cache entries, checkpoints or
+    stable digests.
     """
-    timing = {
-        "time_wall_s": time.perf_counter() - wall0,
-        "time_cpu_s": time.process_time() - cpu0,
-    }
-    for name, value in phases.items():
-        timing[f"time_{name}"] = value
-    return timing
+
+    successes: int
+    screen: ScreenStats
+    funnel: Optional["CriterionStats"]
+    timings: Dict[str, float]
 
 
-def compute_chunk(
+#: One unit's arguments: the point's spec, the runs the unit draws, and
+#: its stream — ``None`` for a flat point's legacy ``spec.seed`` stream,
+#: ``(entropy, k)`` for unit ``k`` of a batched point's shard plan.
+UnitArgs = Tuple[PointSpec, int, Optional[Tuple[int, int]]]
+
+
+def compute_units(
     digest: str,
     payload: Dict[str, object],
-    points: Sequence[PointSpec],
+    units: Sequence[UnitArgs],
     dtype_name: str,
-) -> Tuple[List[int], Dict[str, int], List[Optional[Dict[str, int]]]]:
-    """Compute one chunk of flat points (the executor's unit function).
+) -> List[UnitResult]:
+    """Compute one packed submission of units (the executor's unit function).
 
-    Returns per-point success counts, the chunk's merged screen-stat
-    counters, and — per point — the criterion funnel counters (``None``
-    for default matching points).  Chunks with no criterion anywhere run
-    through :func:`~repro.yieldsim.kernel.simulate_points` exactly as
-    before, so legacy streams stay byte-identical.
-    """
-    struct = _structure_for(digest, payload)
-    dtype = np.dtype(dtype_name).type
-    wall0, cpu0 = time.perf_counter(), time.process_time()
-    with _profile.capture() as phases:
-        if all(point.criterion is None for point in points):
-            successes, stats = simulate_points(struct, points, dtype=dtype)
-            crits: List[Optional[Dict[str, int]]] = [None] * len(points)
-        else:
-            from repro.functional.funnel import criterion_successes
-
-            successes = []
-            crits = []
-            stats = ScreenStats()
-            for point in points:
-                point.validate(struct.n_cells)
-                if point.criterion is None:
-                    got, point_stats = model_successes(
-                        struct, point_model(point), point.runs, point.seed,
-                        dtype=dtype,
-                    )
-                    crits.append(None)
-                else:
-                    got, point_stats, crit = criterion_successes(
-                        struct, point_model(point), point.criterion,
-                        point.runs, point.seed, dtype=dtype,
-                    )
-                    crits.append(crit.wire_dict())
-                successes.append(got)
-                stats.merge(point_stats)
-    return (
-        successes,
-        {**stats.as_dict(), **_unit_timing(wall0, cpu0, phases)},
-        crits,
-    )
-
-
-def compute_shard(
-    digest: str,
-    payload: Dict[str, object],
-    spec: PointSpec,
-    size: int,
-    entropy: int,
-    index: int,
-    dtype_name: str,
-) -> Tuple[int, Dict[str, int]]:
-    """Compute one within-point shard (the executor's unit function).
-
-    The shard's stream is fully determined by ``(entropy, index)`` via
+    Every unit runs on its own stream with its own timers, so its result
+    is independent of what it was packed with and its timings are its
+    own.  A shard stream is fully determined by ``(entropy, k)`` via
     :func:`~repro.yieldsim.kernel.shard_seed`, so any worker — or the
     calling process — computes the identical batch.  The point's defect
-    model (explicit, or the legacy-kind alias) travels inside ``spec`` —
-    as does its optional success criterion, whose funnel counters ride
-    the returned stat dict under ``crit_``-prefixed keys (both readers
-    filter to their own key families, so the flat dict stays collision
-    free).
+    model and optional success criterion travel inside its spec.
     """
     struct = _structure_for(digest, payload)
-    rng = np.random.default_rng(shard_seed(entropy, index))
     dtype = np.dtype(dtype_name).type
-    wall0, cpu0 = time.perf_counter(), time.process_time()
-    with _profile.capture() as phases:
-        if spec.criterion is None:
-            got, stats = model_successes(
-                struct, point_model(spec), size, seed=rng, dtype=dtype
-            )
-            wire: Dict[str, object] = stats.as_dict()
-        else:
-            from repro.functional.funnel import criterion_successes
+    results: List[UnitResult] = []
+    for spec, size, shard in units:
+        seed = spec.seed if shard is None else np.random.default_rng(
+            shard_seed(*shard)
+        )
+        wall0, cpu0 = time.perf_counter(), time.process_time()
+        with _profile.capture() as timings:
+            if spec.criterion is None:
+                got, screen = model_successes(
+                    struct, point_model(spec), size, seed, dtype=dtype
+                )
+                funnel = None
+            else:
+                from repro.functional.funnel import criterion_successes
 
-            got, stats, crit = criterion_successes(
-                struct, point_model(spec), spec.criterion, size, seed=rng,
-                dtype=dtype,
-            )
-            wire = {**stats.as_dict(), **crit.wire_dict()}
-    return got, {**wire, **_unit_timing(wall0, cpu0, phases)}
+                got, screen, funnel = criterion_successes(
+                    struct, point_model(spec), spec.criterion, size, seed,
+                    dtype=dtype,
+                )
+        timings["wall_s"] = time.perf_counter() - wall0
+        timings["cpu_s"] = time.process_time() - cpu0
+        results.append(UnitResult(got, screen, funnel, timings))
+    return results
 
 
 # -- scheduling inputs --------------------------------------------------------
@@ -556,7 +523,7 @@ class PointCache:
 
         Returns the raw checkpoint entry (``folds``/``successes``/
         ``trials``/``stats``/``crit``); the scheduler validates it against
-        the point's shard plan before trusting it.  Corrupt checkpoints
+        the point's shard plan and counter fields before trusting it.  Corrupt checkpoints
         quarantine like any cache file; a stale or inconsistent one reads
         as absent, so the worst outcome of any checkpoint is recomputing
         from fold zero.
@@ -625,24 +592,69 @@ def _is_count(value: object, cap: int) -> bool:
     ) and 0 <= int(value) <= cap
 
 
-def _chunk_validator(runs: Sequence[int]) -> Callable[[object], bool]:
-    """Accept only a well-formed ``compute_chunk`` payload for ``runs``."""
-    def validate(value: object) -> bool:
-        successes, stat_dict, crits = value  # type: ignore[misc]
-        if len(successes) != len(runs) or len(crits) != len(runs):
-            return False
-        if not all(_is_count(got, cap) for got, cap in zip(successes, runs)):
-            return False
-        return isinstance(stat_dict, dict)
+def _units_validator(sizes: Sequence[int]) -> Callable[[list], bool]:
+    """Accept only a well-formed ``compute_units`` payload for ``sizes``."""
+    def validate(value: list) -> bool:
+        return len(value) == len(sizes) and all(
+            isinstance(result, UnitResult)
+            and _is_count(result.successes, size)
+            and isinstance(result.screen, ScreenStats)
+            for result, size in zip(value, sizes)
+        )
     return validate
 
 
-def _shard_validator(size: int) -> Callable[[object], bool]:
-    """Accept only a well-formed ``compute_shard`` payload for ``size`` runs."""
-    def validate(value: object) -> bool:
-        got, stat_dict = value  # type: ignore[misc]
-        return _is_count(got, size) and isinstance(stat_dict, dict)
-    return validate
+def _counters(cls: type, block: object) -> Optional[object]:
+    """``cls`` rebuilt from a journaled counter block, or ``None`` unless
+    the block holds exactly ``cls``'s integer fields."""
+    if not isinstance(block, dict) or set(block) != set(cls.__dataclass_fields__):
+        return None
+    if not all(_is_count(value, 2**63) for value in block.values()):
+        return None
+    return cls(**block)
+
+
+# -- per-point outcomes -------------------------------------------------------
+
+@dataclass
+class PointOutcome:
+    """What :meth:`PointScheduler.run` reports for one task.
+
+    ``successes``/``trials`` are the result (``trials`` is the effective
+    budget).  The rest is telemetry of *computed* points and stays
+    ``None`` for cache hits — the cache stores results, not telemetry:
+    ``screen`` and ``funnel`` (criterion points only) merge the counters
+    of the point's in-order folds; ``timings`` sums its units' worker-side
+    seconds plus parent-side ``cache_wall_s``/``fold_wall_s``;
+    ``incidents`` counts the recovery work of its submissions and stays
+    ``None`` for the common incident-free point.
+    """
+
+    successes: int = 0
+    trials: int = 0
+    screen: Optional[ScreenStats] = None
+    funnel: Optional["CriterionStats"] = None
+    incidents: Optional[Dict[str, int]] = None
+    timings: Optional[Dict[str, float]] = None
+
+
+def _new_funnel(spec: PointSpec) -> Optional["CriterionStats"]:
+    if spec.criterion is None:
+        return None
+    from repro.functional.criteria import CriterionStats
+
+    return CriterionStats()
+
+
+def _members(token: tuple) -> List[Tuple[int, int]]:
+    """The ``(task index, fold)`` units a submission token carries.
+
+    A ``("chunk", indices)`` token packs the single units of flat points;
+    an ``(index, k)`` token is unit ``k`` of one batched point.
+    """
+    if token[0] == "chunk":
+        return [(i, 0) for i in token[1]]
+    return [token]
 
 
 # -- the scheduler ------------------------------------------------------------
@@ -650,9 +662,9 @@ def _shard_validator(size: int) -> Callable[[object], bool]:
 class PointScheduler:
     """Turns a task list into ordered, cached, executor-agnostic results.
 
-    The scheduler is pure in the sense that its outputs — per-point
-    ``(successes, effective trials)`` pairs — are a function of the task
-    list alone.  The executor passed to :meth:`run` decides only where
+    The scheduler is pure in the sense that its results — each
+    :class:`PointOutcome`'s ``(successes, trials)`` — are a function of
+    the task list alone.  The executor passed to :meth:`run` decides only where
     compute units execute and how far the scheduler may speculate past an
     adaptive stop point; folds always happen in batch order, so every
     backend produces identical numbers and identical effective budgets.
@@ -715,72 +727,51 @@ class PointScheduler:
         *,
         progress: Optional[Callable[[int, int], None]] = None,
         on_fold: Optional[FoldHook] = None,
-        stats: Optional[ScreenStats] = None,
-        crit_out: Optional[List[Optional[Dict[str, int]]]] = None,
-        incidents_out: Optional[List[Optional[Dict[str, int]]]] = None,
-        timings_out: Optional[List[Optional[Dict[str, float]]]] = None,
-    ) -> List[Tuple[int, int]]:
-        """``(successes, effective trials)`` for every task, in order.
+    ) -> List[PointOutcome]:
+        """One :class:`PointOutcome` per task, in order.
 
-        Flat points run as per-chip chunks; points with a stop rule or
-        beyond ``shard_runs`` run as per-batch units folded strictly in
-        order with the stop rule checked after each fold.  ``on_fold``
-        (if given) observes each in-order fold of a batched point —
-        cumulative successes/trials — which is what the serving layer
-        streams as NDJSON progress.  Screen statistics of folded units
-        are merged into ``stats``.
+        Every computed point is a plan of units folded strictly in order
+        (see the module docstring); a point with a stop rule checks it
+        after each fold and stops there.  Submissions go out in a fixed
+        order — flat points packed per chip, then batched units point-major
+        — up to the executor's capacity, so an adaptive sweep keeps every
+        worker busy; units that complete beyond a stop point are discarded
+        (queued ones cancelled), keeping numbers, effective budgets and
+        counters equal to the capacity-1 fold.  With a capacity-1 immediate
+        executor no speculation happens at all.
 
-        ``crit_out``, when given, must have one ``None`` slot per task;
-        slots of computed criterion points are filled with that point's
-        criterion-funnel counters (plain-keyed dict).  Cache hits leave
-        their slot ``None`` — the cache stores results, not telemetry —
-        and only in-order folds count for batched points, so the counters
-        are executor-independent like everything else.
+        ``on_fold`` (if given) observes each in-order fold of a batched
+        point — cumulative successes/trials — which is what the serving
+        layer streams as NDJSON progress.
 
-        ``incidents_out`` works the same way for resilience telemetry:
-        slots of points whose units needed recovery (retries, timeouts,
-        corrupt payloads, pool rebuilds) are filled with the per-kind
-        incident counts, attributing recovery work to the points it
-        served.  A chunk's incidents attribute to every point it carried.
+        With checkpointing on, each in-order fold of a seeded batched point
+        journals the point's cumulative state (successes, trials, screen
+        and funnel counters) to the cache directory, and a point with a
+        valid journal restores that state up front — skipping the folds an
+        interrupted run already did.  Because the journal holds exactly
+        what the fold loop had accumulated, a resumed point is
+        indistinguishable from an uninterrupted one.
 
-        ``timings_out`` follows the same out-parameter idiom for phase
-        profiling: slots of *computed* points are filled with per-phase
-        wall/CPU seconds — worker-side unit totals (``wall_s``/``cpu_s``,
-        plus funnel phases for criterion points) and parent-side
-        ``cache_wall_s`` / ``fold_wall_s``.  A chunk's unit timing
-        attributes to every point it carried; cache hits leave their slot
-        ``None``.  Timings are telemetry only — they never influence
-        results or artifacts.
+        Telemetry is recorded once: each unit's worker-side timings go to
+        the point the unit belongs to, and a submission's recovery
+        incidents go to the first point it carried.
         """
         n = len(tasks)
-        results: List[Optional[Tuple[int, int]]] = [None] * n
-        stats = stats if stats is not None else ScreenStats()
         tracer = self.tracer
         run_t0 = tracer.now_us() if tracer is not None else 0.0
-        #: task index -> accumulated phase timings (computed points only).
-        timing_acc: Dict[int, Dict[str, float]] = {}
         #: task index -> trace-relative start of the point's lifecycle.
         point_start: Dict[int, float] = {}
 
         def trace_point(i: int, hit: bool) -> None:
             if tracer is None:
                 return
-            got, trials = results[i]  # type: ignore[misc]
             tracer.complete(
                 "point", point_start.get(i, 0.0),
                 tracer.now_us() - point_start.get(i, 0.0), cat="point",
                 index=i, kind=tasks[i].spec.kind, param=tasks[i].spec.param,
-                requested=tasks[i].spec.runs, effective=trials,
-                successes=got, hit=hit,
+                requested=tasks[i].spec.runs, effective=outcomes[i].trials,
+                successes=outcomes[i].successes, hit=hit,
             )
-
-        def note_times(i: int, wire: Dict[str, object]) -> None:
-            """Fold a unit's ``time_``-prefixed keys into point ``i``."""
-            acc = timing_acc.setdefault(i, {})
-            for key, value in wire.items():
-                if key.startswith("time_"):
-                    name = key[len("time_"):]
-                    acc[name] = acc.get(name, 0.0) + float(value)  # type: ignore[arg-type]
 
         # Canonical payload/digest per distinct chip object (and needed set).
         seen: Dict[Tuple[int, Optional[Tuple[Hashable, ...]]], str] = {}
@@ -802,9 +793,8 @@ class PointScheduler:
             self.cache.key(digests[i], task.spec, stop=task.stop, batch=batch_of[i])
             for i, task in enumerate(tasks)
         ]
+        outcomes: List[PointOutcome] = []
         pending: List[int] = []
-        pending_batched: List[int] = []
-        done = 0
         for i, task in enumerate(tasks):
             task.spec.validate(len(task.chip))
             if tracer is not None:
@@ -818,129 +808,221 @@ class PointScheduler:
                     key=keys[i][:16], hit=cached is not None,
                 )
             if cached is not None:
-                results[i] = cached
-                done += 1
+                outcomes.append(PointOutcome(*cached))
                 trace_point(i, hit=True)
             else:
-                timing_acc[i] = {"cache_wall_s": load_s}
-                (pending if batch_of[i] is None else pending_batched).append(i)
-        if done and progress is not None:
-            progress(done, n)
+                outcomes.append(PointOutcome(
+                    screen=ScreenStats(), funnel=_new_funnel(task.spec),
+                    timings={"cache_wall_s": load_s},
+                ))
+                pending.append(i)
+        done, reported = n - len(pending), 0
 
-        # Group flat pending points into per-chip chunks (the shard unit).
-        # The grouping depends only on the task list, never on the
-        # executor, so every backend computes identical chunks.
-        chunks: List[Tuple[str, List[int]]] = []
-        current_digest: Optional[str] = None
-        for i in pending:
-            if digests[i] != current_digest or len(chunks[-1][1]) >= _CHUNK_POINTS:
-                chunks.append((digests[i], []))
-                current_digest = digests[i]
-            chunks[-1][1].append(i)
-
-        def record(chunk_indices: List[int], successes: List[int],
-                   chunk_stats: Dict[str, int],
-                   chunk_crits: List[Optional[Dict[str, int]]]) -> None:
-            nonlocal done
-            for idx, got, crit in zip(chunk_indices, successes, chunk_crits):
-                results[idx] = (got, tasks[idx].spec.runs)
-                self._store_traced(
-                    keys[idx], tasks[idx].spec, got, tasks[idx].spec.runs
-                )
-                if crit is not None and crit_out is not None:
-                    from repro.functional.criteria import CriterionStats
-
-                    crit_out[idx] = CriterionStats.from_wire(crit).as_dict()
-                note_times(idx, chunk_stats)
-                trace_point(idx, hit=False)
-            stats.merge(ScreenStats.from_dict(chunk_stats))
-            done += len(chunk_indices)
-            if progress is not None:
+        def report() -> None:
+            nonlocal reported
+            if done > reported and progress is not None:
                 progress(done, n)
+            reported = done
 
-        dtype_name = np.dtype(self.dtype).name
+        report()
+
+        # Unit plans: one fold for a flat point, the shard plan otherwise.
         plans = {
-            i: shard_plan(
+            i: (tasks[i].spec.runs,) if batch_of[i] is None else shard_plan(
                 tasks[i].stop.cap(tasks[i].spec.runs) if tasks[i].stop else tasks[i].spec.runs,
                 batch_of[i],
             )
-            for i in pending_batched
+            for i in pending
         }
-        shard_units = sum(len(plan) for plan in plans.values())
-        executor.start(max(len(chunks), shard_units))
-        runner = UnitRunner(executor, self.retry, self.stats, tracer=tracer)
-        try:
-            # Flat chunks: submit up to capacity, fold results as they
-            # complete.  With a capacity-1 immediate executor this is the
-            # historical strict chunk-order serial loop.  The runner
-            # retries crashed/hung/corrupted chunks transparently; a
-            # definitively-completed chunk folds exactly as before.
-            queue = deque(chunks)
-            while queue or len(runner):
-                while queue and runner.free_slots > 0:
-                    digest, idxs = queue.popleft()
-                    runner.submit(
-                        ("chunk", tuple(idxs)),
-                        compute_chunk,
-                        (digest, payload_by_digest[digest],
-                         [tasks[i].spec for i in idxs], dtype_name),
-                        validator=_chunk_validator(
-                            [tasks[i].spec.runs for i in idxs]
-                        ),
+        flat = [i for i in pending if batch_of[i] is None]
+        batched = [i for i in pending if batch_of[i] is not None]
+        entropies = {i: point_entropy(tasks[i].spec.seed) for i in batched}
+        next_fold = dict.fromkeys(pending, 0)
+        complete: set = set()
+        journaled = {
+            i for i in batched
+            if self.checkpoint and self.cache.dir is not None
+            and tasks[i].spec.seed is not None
+        }
+
+        def finish(i: int) -> None:
+            nonlocal done
+            complete.add(i)
+            out = outcomes[i]
+            self._store_traced(
+                keys[i], tasks[i].spec, out.successes, out.trials,
+                batched=batch_of[i] is not None, stop=tasks[i].stop,
+            )
+            if i in journaled:
+                self.cache.clear_checkpoint(keys[i])
+            out.timings = {
+                k: round(v, 6) for k, v in sorted(out.timings.items())
+            }
+            trace_point(i, hit=False)
+            done += 1
+
+        def settle(i: int) -> None:
+            """Stop-check point ``i`` after a fold; journal it if it goes on."""
+            out, rule = outcomes[i], tasks[i].stop
+            if next_fold[i] == len(plans[i]) or (
+                rule is not None and rule.should_stop(out.successes, out.trials)
+            ):
+                finish(i)
+            elif i in journaled:
+                self.cache.store_checkpoint(
+                    keys[i], tasks[i].spec,
+                    folds=next_fold[i], successes=out.successes,
+                    trials=out.trials, stats=out.screen.as_dict(),
+                    crit=out.funnel.as_dict() if out.funnel is not None else None,
+                )
+
+        def fold(i: int, result: UnitResult) -> None:
+            fold0 = time.perf_counter()
+            out = outcomes[i]
+            out.successes += result.successes
+            out.trials += plans[i][next_fold[i]]
+            next_fold[i] += 1
+            out.screen.merge(result.screen)
+            if out.funnel is not None:
+                out.funnel.merge(result.funnel)
+            _profile.merge_into(out.timings, result.timings)
+            out.timings["fold_wall_s"] = out.timings.get("fold_wall_s", 0.0) + (
+                time.perf_counter() - fold0
+            )
+            if batch_of[i] is not None:
+                if tracer is not None:
+                    tracer.instant(
+                        "fold", cat="point", index=i, fold=next_fold[i],
+                        successes=out.successes, trials=out.trials,
                     )
-                for token, value in runner.collect():
-                    successes, chunk_stats, chunk_crits = value
-                    record(list(token[1]), successes, chunk_stats, chunk_crits)
+                if on_fold is not None:
+                    on_fold(i, out.successes, out.trials)
+            settle(i)
 
-            def on_point(i: int, got: int, trials: int) -> None:
-                nonlocal done
-                results[i] = (got, trials)
-                self._store_traced(
-                    keys[i], tasks[i].spec, got, trials,
-                    batched=True, stop=tasks[i].stop,
-                )
-                if self.checkpoint:
-                    self.cache.clear_checkpoint(keys[i])
-                trace_point(i, hit=False)
-                done += 1
-                if progress is not None:
-                    progress(done, n)
+        for i in sorted(journaled):
+            next_fold[i] = self._restore(i, keys[i], tasks[i].spec, plans[i], outcomes[i])
+            if next_fold[i]:
+                if on_fold is not None:
+                    on_fold(i, outcomes[i].successes, outcomes[i].trials)
+                settle(i)
+        report()
 
-            if pending_batched:
-                self._run_batched(
-                    tasks, pending_batched, plans, keys, digests,
-                    payload_by_digest, executor, runner, on_point, on_fold,
-                    stats, crit_out, timing_acc=timing_acc,
-                )
+        # Submission order depends only on the task list: flat units packed
+        # per chip, then batched units point-major (a decided point's tail
+        # is skipped).  Every backend therefore sees identical submissions.
+        chunks: List[List[int]] = []
+        for i in flat:
+            if (not chunks or digests[i] != digests[chunks[-1][0]]
+                    or len(chunks[-1]) >= _CHUNK_POINTS):
+                chunks.append([])
+            chunks[-1].append(i)
+
+        def submissions() -> Iterator[tuple]:
+            for chunk in chunks:
+                yield ("chunk", tuple(chunk))
+            for i in batched:
+                for k in range(next_fold[i], len(plans[i])):
+                    if i in complete:
+                        break
+                    yield (i, k)
+
+        stream = submissions()
+        dtype_name = np.dtype(self.dtype).name
+        executor.start(len(chunks) + sum(
+            len(plans[i]) - next_fold[i] for i in batched if i not in complete
+        ))
+        runner = UnitRunner(executor, self.retry, self.stats, tracer=tracer)
+        ready: Dict[Tuple[int, int], UnitResult] = {}
+        try:
+            while len(complete) < len(pending):
+                while runner.free_slots > 0:
+                    token = next(stream, None)
+                    if token is None:
+                        break
+                    units = _members(token)
+                    digest = digests[units[0][0]]
+                    runner.submit(
+                        token, compute_units,
+                        (digest, payload_by_digest[digest], tuple(
+                            (tasks[i].spec, plans[i][k],
+                             None if batch_of[i] is None else (entropies[i], k))
+                            for i, k in units
+                        ), dtype_name),
+                        validator=_units_validator([plans[i][k] for i, k in units]),
+                    )
+                if not len(runner):
+                    raise SimulationError("scheduler stalled with undecided points")
+                touched = set()
+                for token, results in runner.collect():
+                    for unit, result in zip(_members(token), results):
+                        ready[unit] = result
+                        touched.add(unit[0])
+                for i in sorted(touched):
+                    while i not in complete and (i, next_fold[i]) in ready:
+                        fold(i, ready.pop((i, next_fold[i])))
+                report()
+                # Drop speculative results (and cancel queued units) of
+                # points that have since been decided.
+                for unit in [u for u in ready if u[0] in complete]:
+                    del ready[unit]
+                runner.cancel_where(lambda token: _members(token)[0][0] in complete)
         finally:
             executor.shutdown()
 
-        if incidents_out is not None:
-            for token, counts in runner.incidents.items():
-                members = (
-                    token[1] if isinstance(token, tuple) and token[0] == "chunk"
-                    else (token[0],)
-                )
-                for i in members:
-                    bucket = incidents_out[i] or {}
-                    for kind, count in counts.items():
-                        bucket[kind] = bucket.get(kind, 0) + count
-                    incidents_out[i] = bucket
-
-        if timings_out is not None:
-            for i, acc in timing_acc.items():
-                if acc and results[i] is not None:
-                    timings_out[i] = {
-                        k: round(v, 6) for k, v in sorted(acc.items())
-                    }
+        for token, counts in runner.incidents.items():
+            out = outcomes[_members(token)[0][0]]
+            out.incidents = out.incidents or {}
+            for kind, count in counts.items():
+                out.incidents[kind] = out.incidents.get(kind, 0) + count
 
         if tracer is not None:
             tracer.complete(
                 "scheduler.run", run_t0, tracer.now_us() - run_t0,
-                cat="engine", tasks=n, hits=max(0, n - len(timing_acc)),
+                cat="engine", tasks=n, hits=n - len(pending),
             )
+        return outcomes
 
-        return [pair for pair in results]  # type: ignore[misc]
+    def _restore(
+        self, i: int, key: str, spec: PointSpec, plan: Tuple[int, ...],
+        out: PointOutcome,
+    ) -> int:
+        """Restore point ``i``'s journaled folds into ``out``; the count.
+
+        A journal from another plan shape, or whose counter blocks do not
+        parse to the counter fields, reads as absent (0): the point
+        recomputes from fold zero rather than resume with wrong counters.
+        """
+        data = self.cache.load_checkpoint(key, spec)
+        if data is None:
+            return 0
+        folds = int(data["folds"])  # type: ignore[arg-type]
+        screen = _counters(ScreenStats, data.get("stats"))
+        funnel = (
+            None if out.funnel is None
+            else _counters(type(out.funnel), data.get("crit"))
+        )
+        if (
+            folds > len(plan)
+            or int(data["trials"]) != sum(plan[:folds])  # type: ignore[arg-type]
+            or screen is None
+            or (funnel is None) != (out.funnel is None)
+        ):
+            return 0
+        out.successes = int(data["successes"])  # type: ignore[arg-type]
+        out.trials = int(data["trials"])  # type: ignore[arg-type]
+        out.screen, out.funnel = screen, funnel
+        self.stats.checkpoint_resumes += 1
+        self.stats.folds_resumed += folds
+        if self.tracer is not None:
+            self.tracer.instant(
+                "checkpoint_resume", cat="incident", index=i,
+                folds=folds, trials=out.trials,
+            )
+        log_event(
+            _log, "checkpoint_resume", point=i, folds=folds,
+            successes=out.successes, trials=out.trials,
+        )
+        return folds
 
     def _store_traced(
         self,
@@ -962,204 +1044,3 @@ class PointScheduler:
             "cache.put", t0, self.tracer.now_us() - t0, cat="cache",
             key=key[:16],
         )
-
-    def _run_batched(
-        self,
-        tasks: Sequence[EnginePoint],
-        indices: Sequence[int],
-        plans: Dict[int, Tuple[int, ...]],
-        keys: Sequence[str],
-        digests: Sequence[str],
-        payload_by_digest: Dict[str, Dict[str, object]],
-        executor: Executor,
-        runner: UnitRunner,
-        on_point: Callable[[int, int, int], None],
-        on_fold: Optional[FoldHook],
-        stats: ScreenStats,
-        crit_out: Optional[List[Optional[Dict[str, int]]]] = None,
-        timing_acc: Optional[Dict[int, Dict[str, float]]] = None,
-    ) -> None:
-        """Run the batched points; calls ``on_point(i, successes, trials)``
-        as each completes.
-
-        Each point's batches are folded strictly in batch order and its
-        stop rule (if any) is checked after each fold, so every point's
-        result — successes *and* effective budget — is identical whatever
-        the executor.  The submit schedule interleaves batches of
-        *different* points (point-major order), so an adaptive sweep keeps
-        every worker busy instead of draining one point at a time; batches
-        that complete beyond a stop point are discarded, keeping numbers
-        and screen stats equal to the capacity-1 fold.  With a capacity-1
-        immediate executor no speculation happens at all: each batch is
-        computed, folded and stop-checked before the next is submitted.
-
-        With checkpointing on, each in-order fold of a seeded point
-        journals the point's cumulative state (successes, trials, screen
-        stats, criterion funnel) to the cache directory, and points with
-        a valid checkpoint restore that state up front — skipping the
-        folds a previous, interrupted run already did.  Because the
-        journal holds exactly what the fold loop would have accumulated,
-        a resumed point is indistinguishable from an uninterrupted one.
-        """
-        dtype_name = np.dtype(self.dtype).name
-        entropies = {i: point_entropy(tasks[i].spec.seed) for i in indices}
-
-        # Per-point fold state; a point is live until it stops or folds
-        # its whole plan.
-        next_fold = {i: 0 for i in indices}
-        successes = {i: 0 for i in indices}
-        trials = {i: 0 for i in indices}
-        complete: set = set()
-        crit_acc: Dict[int, object] = {}
-        if any(tasks[i].spec.criterion is not None for i in indices):
-            from repro.functional.criteria import CriterionStats
-
-            crit_acc = {
-                i: CriterionStats()
-                for i in indices
-                if tasks[i].spec.criterion is not None
-            }
-
-        def finish(i: int) -> None:
-            complete.add(i)
-            if i in crit_acc and crit_out is not None:
-                crit_out[i] = crit_acc[i].as_dict()
-            on_point(i, successes[i], trials[i])
-
-        # Checkpoint restore: per-point screen-stat accumulators exist
-        # only for journaled points (they fund the next checkpoint write).
-        ckpt_stats: Dict[int, ScreenStats] = {}
-        if self.checkpoint and self.cache.dir is not None:
-            for i in indices:
-                task = tasks[i]
-                if task.spec.seed is None:
-                    continue
-                ckpt_stats[i] = ScreenStats()
-                data = self.cache.load_checkpoint(keys[i], task.spec)
-                if data is None:
-                    continue
-                folds = int(data["folds"])  # type: ignore[arg-type]
-                if folds > len(plans[i]) or int(
-                    data["trials"]  # type: ignore[arg-type]
-                ) != sum(plans[i][:folds]):
-                    continue  # journal from another plan shape: recompute
-                successes[i] = int(data["successes"])  # type: ignore[arg-type]
-                trials[i] = int(data["trials"])  # type: ignore[arg-type]
-                next_fold[i] = folds
-                restored = ScreenStats.from_dict(data.get("stats") or {})
-                stats.merge(restored)
-                ckpt_stats[i].merge(restored)
-                if i in crit_acc and data.get("crit"):
-                    from repro.functional.criteria import CriterionStats
-
-                    crit_acc[i] = CriterionStats.from_wire(data["crit"])
-                self.stats.checkpoint_resumes += 1
-                self.stats.folds_resumed += folds
-                if self.tracer is not None:
-                    self.tracer.instant(
-                        "checkpoint_resume", cat="incident", index=i,
-                        folds=folds, trials=trials[i],
-                    )
-                log_event(
-                    _log, "checkpoint_resume", point=i, folds=folds,
-                    successes=successes[i], trials=trials[i],
-                )
-                if on_fold is not None:
-                    on_fold(i, successes[i], trials[i])
-                rule = task.stop
-                if next_fold[i] == len(plans[i]) or (
-                    rule is not None
-                    and rule.should_stop(successes[i], trials[i])
-                ):
-                    finish(i)
-
-        def journal(i: int) -> None:
-            if i in ckpt_stats:
-                self.cache.store_checkpoint(
-                    keys[i], tasks[i].spec,
-                    folds=next_fold[i], successes=successes[i],
-                    trials=trials[i], stats=ckpt_stats[i].as_dict(),
-                    crit=(
-                        crit_acc[i].wire_dict() if i in crit_acc else None
-                    ),
-                )
-
-        def unit_stream():
-            for i in indices:
-                for k in range(next_fold[i], len(plans[i])):
-                    yield i, k
-
-        units = unit_stream()
-        ready: Dict[Tuple[int, int], Tuple[int, Dict[str, int]]] = {}
-
-        def submit_up_to_capacity() -> None:
-            while runner.free_slots > 0:
-                for i, k in units:
-                    if i in complete:
-                        continue  # point already decided; skip its tail
-                    spec = tasks[i].spec
-                    runner.submit(
-                        (i, k), compute_shard,
-                        (digests[i], payload_by_digest[digests[i]],
-                         spec, plans[i][k], entropies[i], k, dtype_name),
-                        validator=_shard_validator(plans[i][k]),
-                    )
-                    break
-                else:
-                    return  # no units left to submit
-
-        while len(complete) < len(indices):
-            submit_up_to_capacity()
-            if not len(runner) and not ready:
-                break  # nothing in flight, nothing to fold (defensive)
-            for unit, value in runner.collect():
-                ready[unit] = value
-            for i in indices:
-                if i in complete:
-                    continue
-                rule = tasks[i].stop
-                while (i, next_fold[i]) in ready and i not in complete:
-                    fold0 = time.perf_counter()
-                    got, shard_stats = ready.pop((i, next_fold[i]))
-                    shard_screen = ScreenStats.from_dict(shard_stats)
-                    stats.merge(shard_screen)
-                    if i in ckpt_stats:
-                        ckpt_stats[i].merge(shard_screen)
-                    if i in crit_acc:
-                        # Only in-order folds count: speculative shards of
-                        # stopped points are discarded below, so criterion
-                        # telemetry stays executor-independent too.
-                        from repro.functional.criteria import CriterionStats
-
-                        crit_acc[i].merge(CriterionStats.from_wire(shard_stats))
-                    successes[i] += got
-                    trials[i] += plans[i][next_fold[i]]
-                    next_fold[i] += 1
-                    if timing_acc is not None:
-                        acc = timing_acc.setdefault(i, {})
-                        for key, value in shard_stats.items():
-                            if key.startswith("time_"):
-                                name = key[len("time_"):]
-                                acc[name] = acc.get(name, 0.0) + float(value)
-                        acc["fold_wall_s"] = acc.get("fold_wall_s", 0.0) + (
-                            time.perf_counter() - fold0
-                        )
-                    if self.tracer is not None:
-                        self.tracer.instant(
-                            "fold", cat="point", index=i, fold=next_fold[i],
-                            successes=successes[i], trials=trials[i],
-                        )
-                    if on_fold is not None:
-                        on_fold(i, successes[i], trials[i])
-                    stopped = rule is not None and rule.should_stop(
-                        successes[i], trials[i]
-                    )
-                    if stopped or next_fold[i] == len(plans[i]):
-                        finish(i)
-                    else:
-                        journal(i)
-            # Drop speculative results (and cancel queued batches) of
-            # points that have since completed.
-            for unit in [u for u in ready if u[0] in complete]:
-                del ready[unit]
-            runner.cancel_where(lambda token: token[0] in complete)

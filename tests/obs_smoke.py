@@ -17,6 +17,10 @@ Proves the telemetry layer is out-of-band at full-pipeline scale:
    experiment, byte-identical artifacts (minus ``manifest.json`` and
    the intrinsically timing-valued ``ablation-matching``) with
    tracing + JSON logging armed.
+6. The traced ``repro all`` manifest's timings add up: for every
+   experiment, the unit wall seconds in ``engine.timings.wall_s`` sum to
+   no more than ``jobs`` x the experiment's measured ``wall_time_s``
+   (plus a 0.05 s allowance), i.e. no unit's time is counted twice.
 
 Exits non-zero on any mismatch.  Run as::
 
@@ -105,6 +109,25 @@ def check_trace(trace_path: pathlib.Path, out: pathlib.Path) -> None:
     )
 
 
+#: Clock-granularity allowance of the timing reconciliation, in seconds.
+TIMING_SLACK_S = 0.05
+
+
+def check_timings(out: pathlib.Path) -> None:
+    """Every experiment's unit wall time fits in jobs x its wall time."""
+    experiments = manifest(out)["experiments"]
+    for name, entry in sorted(experiments.items()):
+        provenance = entry["provenance"]
+        engine = provenance["engine"]
+        unit_wall = engine.get("timings", {}).get("wall_s", 0.0)
+        budget = engine["jobs"] * provenance["wall_time_s"] + TIMING_SLACK_S
+        assert unit_wall <= budget, (
+            f"{name}: engine.timings.wall_s = {unit_wall} s exceeds "
+            f"jobs x wall_time_s + {TIMING_SLACK_S} = {budget:.6f} s"
+        )
+    print(f"timings OK: {len(experiments)} experiments reconcile with wall time")
+
+
 def check_event_log(log_path: pathlib.Path) -> None:
     lines = [
         line for line in log_path.read_text().splitlines() if line.strip()
@@ -147,6 +170,7 @@ def main() -> int:
     events = validate_trace(json.loads(all_trace.read_text()))
     experiments = len(manifest(all_traced)["experiments"])
     print(f"all trace OK: {len(events)} events across {experiments} experiments")
+    check_timings(all_traced)
 
     print("obs smoke OK")
     return 0

@@ -6,13 +6,10 @@ stop-rule checks, speculation discard) while the
 :class:`~repro.yieldsim.executors.Executor` owns only *where* compute
 units run.  These tests sweep the executor grid — serial, process pool,
 inline test executor at several capacities — over flat, adaptive and
-sharded points and assert bit-identical estimates, then pin the shim that
-keeps old ``repro.yieldsim.engine`` deep imports alive.
+sharded points and assert bit-identical estimates.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -24,7 +21,6 @@ from repro.yieldsim.executors import (
     default_executor,
 )
 from repro.yieldsim.kernel import PointSpec
-from repro.yieldsim.scheduler import PointScheduler
 from repro.yieldsim.stats import StopRule
 
 RULE = StopRule(target_half_width=0.02, min_runs=200, batch_runs=200)
@@ -186,40 +182,3 @@ class TestFoldHook:
         trials = [t for _, _, t in seen]
         assert all(a < b for a, b in zip(trials, trials[1:]))
         assert seen[-1][1:] == (estimate.successes, estimate.trials)
-
-
-class TestDeprecationShim:
-    """Old deep imports from ``repro.yieldsim.engine`` keep resolving."""
-
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "SerialExecutor",
-            "InlineExecutor",
-            "PoolExecutor",
-            "_compute_batch",
-            "_compute_shard",
-            "_structure_from_payload",
-        ],
-    )
-    def test_moved_names_warn_and_resolve(self, name):
-        import repro.yieldsim.engine as engine_mod
-
-        with pytest.warns(DeprecationWarning, match=name):
-            value = getattr(engine_mod, name)
-        assert value is not None
-
-    def test_shim_resolves_to_the_real_objects(self):
-        import repro.yieldsim.engine as engine_mod
-        import repro.yieldsim.scheduler as scheduler_mod
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert engine_mod._compute_batch is scheduler_mod.compute_chunk
-            assert engine_mod.PointScheduler is PointScheduler
-
-    def test_unknown_names_still_raise(self):
-        import repro.yieldsim.engine as engine_mod
-
-        with pytest.raises(AttributeError):
-            engine_mod.definitely_not_a_name

@@ -303,6 +303,30 @@ class TestTimings:
         assert timings["funnel_screen_wall_s"] >= 0.0
         assert timings["funnel_sample_wall_s"] >= 0.0
 
+    def test_unit_timings_are_recorded_once(self, dtmb26_chip):
+        """Points packed into one submission each report their own unit's
+        time, so the records sum to no more than jobs x measured wall."""
+        import time
+
+        from repro.functional.criteria import RoutingCriterion
+
+        engine = SweepEngine()
+        criterion = RoutingCriterion(deadline=200)
+        # 9 criterion points on one chip: three packed submissions.
+        tasks = [
+            EnginePoint(
+                dtmb26_chip,
+                PointSpec("survival", p, RUNS, seed, criterion=criterion),
+            )
+            for p, seed in GRID
+        ]
+        wall0 = time.perf_counter()
+        engine.run_points(tasks)
+        wall = time.perf_counter() - wall0
+        walls = [record.timings["wall_s"] for record in engine.point_log]
+        assert len(walls) == len(GRID) and all(w > 0.0 for w in walls)
+        assert sum(walls) <= engine.jobs * wall + 0.05
+
 
 # -- the event log -------------------------------------------------------------
 

@@ -33,6 +33,7 @@ from repro.yieldsim.resilience import (
     FaultSchedule,
     InjectedFault,
     Preemption,
+    ResilienceStats,
     RetryPolicy,
     UnitRunner,
 )
@@ -182,6 +183,57 @@ class TestPoolSurvival:
         assert engine.resilience.timeouts >= 1
 
 
+# -- per-point incident attribution -------------------------------------------
+
+#: The incident counters a point record and the engine stats both carry.
+UNIT_INCIDENTS = ("retries", "timeouts", "corrupt_units")
+
+
+def assert_incidents_reconcile(engine, before):
+    """Per-point incident records sum to the engine's stats growth."""
+    delta = ResilienceStats.delta(before, engine.resilience.as_dict())
+    summed = {}
+    for record in engine.point_log:
+        for kind, count in (record.incidents or {}).items():
+            summed[kind] = summed.get(kind, 0) + count
+    expected = {k: v for k, v in delta.items() if k in UNIT_INCIDENTS}
+    assert expected, "the schedule injected no incident"
+    assert {k: v for k, v in summed.items() if k in UNIT_INCIDENTS} == expected
+
+
+class TestIncidentAttribution:
+    """A packed submission's incidents are recorded once, not per point."""
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [FaultSchedule(crash_every=2), FaultSchedule(corrupt_every=2)],
+        ids=["crash", "corrupt"],
+    )
+    def test_serial_incidents_sum_to_the_engine_delta(
+        self, dtmb26_chip, schedule
+    ):
+        clean = flat_estimates(dtmb26_chip)
+        engine, _ = faulted_engine(schedule, retry=FAST)
+        before = engine.resilience.as_dict()
+        assert flat_estimates(dtmb26_chip, engine) == clean
+        assert_incidents_reconcile(engine, before)
+
+    def test_pool_timeouts_sum_to_the_engine_delta(self, dtmb26_chip):
+        clean = flat_estimates(dtmb26_chip)
+        executor = FaultInjectingExecutor(
+            PoolExecutor(jobs=2), FaultSchedule(hang_every=2),
+            hang_seconds=1.0,
+        )
+        engine = SweepEngine(
+            executor=executor,
+            retry=RetryPolicy(attempts=3, backoff_base=0.0, unit_timeout=0.25),
+        )
+        before = engine.resilience.as_dict()
+        assert flat_estimates(dtmb26_chip, engine) == clean
+        assert engine.resilience.timeouts >= 1
+        assert_incidents_reconcile(engine, before)
+
+
 # -- fold-level checkpoint resume ---------------------------------------------
 
 #: An adaptive (fig9-style) point hard enough that its stop rule never
@@ -279,6 +331,55 @@ class TestCheckpointResume:
             clean.trials,
         )
         assert resumed_engine.resilience.checkpoint_resumes == 1
+
+    @pytest.mark.parametrize("block", ["stats", "crit"])
+    def test_unparseable_counter_block_reads_as_absent(
+        self, dtmb26_chip, tmp_path, block
+    ):
+        """A journal whose counters do not parse (here: the legacy
+        ``crit_``-prefixed funnel block, or a screen block missing a
+        field) recomputes from fold zero — never resumes with zeroed
+        counters."""
+        from repro.functional.criteria import RoutingCriterion
+        from repro.yieldsim.cachestore import entry_digest
+
+        point = EnginePoint(
+            dtmb26_chip,
+            PointSpec(
+                "survival", 0.93, 2000, 7,
+                criterion=RoutingCriterion(deadline=200),
+            ),
+            None, ADAPTIVE_RULE,
+        )
+        clean_engine = SweepEngine()
+        [clean] = clean_engine.run_points([point])
+        cache = str(tmp_path / "cache")
+        engine, _ = faulted_engine(
+            FaultSchedule(preempt_after=2), cache_dir=cache, checkpoint=True
+        )
+        with pytest.raises(Preemption):
+            engine.run_points([point])
+        [ckpt] = list((tmp_path / "cache").glob("*.ckpt.json"))
+        data = json.loads(ckpt.read_text())
+        assert data["crit"]["runs"] == data["trials"]  # plain-keyed funnel
+        if block == "crit":
+            data["crit"] = {f"crit_{k}": v for k, v in data["crit"].items()}
+        else:
+            del data["stats"]["residue"]
+        # Keep the digest honest: the journal is stale, not corrupt.
+        del data["digest"]
+        data["digest"] = entry_digest(data)
+        ckpt.write_text(json.dumps(data))
+
+        resumed_engine = SweepEngine(cache_dir=cache, checkpoint=True)
+        [resumed] = resumed_engine.run_points([point])
+        assert (resumed.successes, resumed.trials) == (
+            clean.successes, clean.trials,
+        )
+        assert resumed_engine.resilience.checkpoint_resumes == 0
+        assert resumed_engine.resilience.quarantined == 0
+        assert resumed_engine.point_log[0].funnel == clean_engine.point_log[0].funnel
+        assert resumed_engine.screen_stats == clean_engine.screen_stats
 
 
 # -- cache read-path hardening ------------------------------------------------
