@@ -195,11 +195,20 @@ class Biochip:
         return Biochip(picked, name=name or f"{self.name}/sub")
 
     def copy(self, name: Optional[str] = None) -> "Biochip":
-        """Deep copy (cells are duplicated, health included)."""
-        return Biochip(
-            (Cell(c.coord, c.role, c.health, c.label) for c in self),
-            name=name or self.name,
-        )
+        """Deep copy (cells are duplicated, health included).
+
+        A copy has the same coordinates, so it shares the parent's
+        immutable coordinate order and adjacency instead of re-deriving
+        them; only the mutable cells are duplicated.
+        """
+        clone = Biochip.__new__(Biochip)
+        clone.name = name or self.name
+        clone._cells = {
+            c.coord: Cell(c.coord, c.role, c.health, c.label) for c in self
+        }
+        clone._order = self._order
+        clone._adjacency = self._adjacency
+        return clone
 
     def edges(self) -> List[Tuple[Hashable, Hashable]]:
         """All adjacency edges, each reported once with endpoints sorted."""

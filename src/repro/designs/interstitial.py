@@ -10,12 +10,33 @@ Two builders are provided:
 The coset search matters: sliding the spare pattern by a lattice translation
 changes how the pattern is clipped at the array boundary, and therefore the
 exact primary count for a fixed footprint.
+
+The search counts spares from lattice residues instead of testing cells one
+by one.  A spare lattice is one or more congruences ``a*q + b*r ≡ c (mod
+m)``; translating it by ``(dq, dr)`` only moves ``c`` to ``c + a*dq +
+b*dr``.  So each candidate rectangle needs the residues ``(a*q + b*r) % m``
+of its cells once, computed on integer arrays (one residue per congruence,
+folded into one bin index), and a histogram of those bins then gives the
+spare count of every coset at once.  Shapes and cosets are scanned in a
+fixed order, so the first hit is the same layout a cell-by-cell search
+finds.
+
+A fit is a pure function of ``(spec, n, max_dim)``, so
+:func:`build_with_primary_count` is memoized once per process and shared by
+every caller (registry, CLI, sweeps, the design selector, the server).  The
+memo holds :class:`FitResult` records only — frozen and cheap — never a
+:class:`~repro.chip.biochip.Biochip`: chips carry mutable fault and label
+state, so :meth:`FitResult.build` makes a fresh one on every call.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.chip.biochip import Biochip
 from repro.chip.builders import chip_from_lattice
@@ -23,6 +44,11 @@ from repro.designs.spec import DesignSpec
 from repro.errors import DesignError
 from repro.geometry.hex import Hex
 from repro.geometry.hexgrid import HexRegion, RectRegion
+from repro.geometry.lattice import (
+    CongruenceLattice,
+    IntersectionLattice,
+    lattice_period,
+)
 
 __all__ = [
     "build_chip",
@@ -31,22 +57,10 @@ __all__ = [
     "FitResult",
 ]
 
-
-def _coset_period(spec: DesignSpec) -> int:
-    """A translation period of the design's spare lattice (both axes)."""
-    lattice = spec.spare_lattice
-    if hasattr(lattice, "m"):
-        return lattice.m
-    # IntersectionLattice: the lcm of the component moduli is a period.
-    period = 1
-    for part in lattice.parts:
-        g = period * part.m
-        # lcm via gcd
-        a, b = period, part.m
-        while b:
-            a, b = b, a % b
-        period = g // a
-    return period
+#: Distinct ``(spec, n, max_dim)`` fits kept per process.  The paper
+#: pipeline asks for 13; a sweep over ``n`` or a long-lived server asks
+#: for more, and each entry is one small frozen record.
+_FIT_MEMO_SIZE = 1024
 
 
 def build_chip(
@@ -67,7 +81,12 @@ def build_chip(
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of the :func:`build_with_primary_count` search."""
+    """Outcome of the :func:`build_with_primary_count` search.
+
+    A frozen description of a chip, safe to share through the per-process
+    fit memo; :meth:`build` turns it into a fresh, independently mutable
+    :class:`~repro.chip.biochip.Biochip` on every call.
+    """
 
     spec: DesignSpec
     cols: int
@@ -77,7 +96,7 @@ class FitResult:
     spare_count: int
 
     def build(self, name: Optional[str] = None) -> Biochip:
-        """Construct the chip this fit describes."""
+        """Construct a new chip for this fit (never a shared instance)."""
         return build_chip(
             self.spec,
             RectRegion(self.cols, self.rows),
@@ -103,6 +122,31 @@ def _candidate_shapes(total_cells_target: float, max_dim: int) -> Iterator[Tuple
         yield (cols, rows)
 
 
+def _residue_bin(
+    parts: Tuple[CongruenceLattice, ...],
+    q: np.ndarray,
+    r: np.ndarray,
+    with_constant: bool = False,
+) -> np.ndarray:
+    """The residues ``(a*q + b*r) % m`` (``(c + a*q + b*r) % m`` with
+    ``with_constant``), one per congruence, as one mixed-radix bin index
+    in ``range(prod(m))``."""
+    index = np.zeros(q.shape, dtype=np.int64)
+    for part in parts:
+        c = part.c if with_constant else 0
+        index = index * part.m + (c + part.a * q + part.b * r) % part.m
+    return index
+
+
+def _rect_axial(cols: int, rows: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Axial ``(q, r)`` of a ``cols x rows`` rectangle's cells (odd-r layout,
+    the formula of :func:`~repro.geometry.hexgrid.offset_to_axial`)."""
+    col = np.tile(np.arange(cols, dtype=np.int64), rows)
+    row = np.repeat(np.arange(rows, dtype=np.int64), cols)
+    return col - (row - (row & 1)) // 2, row
+
+
+@functools.lru_cache(maxsize=_FIT_MEMO_SIZE)
 def build_with_primary_count(
     spec: DesignSpec,
     n: int,
@@ -110,25 +154,45 @@ def build_with_primary_count(
 ) -> FitResult:
     """Find a rectangular instance of ``spec`` with exactly ``n`` primaries.
 
-    Searches rectangle shapes (most square first) and all lattice cosets;
-    deterministic, so repeated calls return the same layout.  Raises
-    :class:`DesignError` if no footprint up to ``max_dim`` per side fits.
+    Scans rectangle shapes most square first (:func:`_candidate_shapes`)
+    and, within a shape, the lattice cosets ``Hex(dq, dr)`` over one period
+    with ``dq`` outer and ``dr`` inner; the first shape and coset holding
+    exactly ``n`` primaries and at least one spare wins.  A coset's spares
+    are the cells whose residues ``(a*q + b*r) % m`` equal the coset's
+    translated constants, so one residue histogram per shape counts every
+    coset at once.
+
+    Memoized per process: a repeated call returns the identical
+    :class:`FitResult`.  Chips are never memoized — call
+    :meth:`FitResult.build` for a fresh one.  Raises :class:`DesignError`
+    (never memoized) if ``n < 1`` or no footprint up to ``max_dim`` per
+    side fits.
     """
     if n < 1:
         raise DesignError(f"primary count must be >= 1, got {n}")
     density = float(spec.primary_density)
     target_cells = n / density
-    period = _coset_period(spec)
+    lattice = spec.spare_lattice
+    parts = lattice.parts if isinstance(lattice, IntersectionLattice) else (lattice,)
+    period = lattice_period(lattice)
+    bins = math.prod(part.m for part in parts)
+    # Translating a congruence by Hex(dq, dr) moves its constant c to
+    # c + a*dq + b*dr, so coset [dq, dr]'s spares are the cells whose
+    # residues fall in bin coset_bin[dq, dr].
+    dq, dr = np.meshgrid(np.arange(period), np.arange(period), indexing="ij")
+    coset_bin = _residue_bin(parts, dq, dr, with_constant=True)
     for cols, rows in _candidate_shapes(target_cells, max_dim):
-        region = RectRegion(cols, rows)
-        for dq in range(period):
-            for dr in range(period):
-                offset = Hex(dq, dr)
-                lattice = spec.spare_lattice.translated(offset)
-                spares = sum(1 for h in region if h in lattice)
-                primaries = len(region) - spares
-                if primaries == n and spares > 0:
-                    return FitResult(spec, cols, rows, offset, primaries, spares)
+        q, r = _rect_axial(cols, rows)
+        counts = np.bincount(_residue_bin(parts, q, r), minlength=bins)
+        spares = counts[coset_bin]
+        hits = (cols * rows - spares == n) & (spares > 0)
+        if hits.any():
+            first = int(np.argmax(hits))  # row-major: dq outer, dr inner
+            spare_count = int(spares.flat[first])
+            return FitResult(
+                spec, cols, rows, Hex(*divmod(first, period)),
+                cols * rows - spare_count, spare_count,
+            )
     raise DesignError(
         f"no {spec.name} rectangle up to {max_dim}x{max_dim} has exactly "
         f"{n} primary cells"

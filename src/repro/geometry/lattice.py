@@ -27,6 +27,7 @@ DTMB(4, 4)   q ≡ 0 (mod 2)          1/2
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, List, Sequence, Tuple
 
 from repro.errors import GeometryError
@@ -36,6 +37,7 @@ __all__ = [
     "CongruenceLattice",
     "IntersectionLattice",
     "lattice_density",
+    "lattice_period",
 ]
 
 
@@ -100,22 +102,14 @@ class IntersectionLattice:
         return f"IntersectionLattice({list(self.parts)!r})"
 
 
-def _period(lat) -> int:
-    """A tile size guaranteed to be a period of the membership predicate."""
+def lattice_period(lat) -> int:
+    """A period of the membership predicate along both axial directions
+    (the modulus, or the lcm of the moduli of an intersection)."""
     if isinstance(lat, CongruenceLattice):
         return lat.m
     if isinstance(lat, IntersectionLattice):
-        period = 1
-        for part in lat.parts:
-            period = _lcm(period, part.m)
-        return period
+        return lcm(*(part.m for part in lat.parts))
     raise GeometryError(f"unknown lattice type: {type(lat).__name__}")
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 def lattice_density(lat) -> Fraction:
@@ -125,6 +119,6 @@ def lattice_density(lat) -> Fraction:
     period of the predicate; exact because the predicate is periodic in both
     axial directions with period dividing ``T``.
     """
-    t = _period(lat)
+    t = lattice_period(lat)
     hits = sum(1 for q in range(t) for r in range(t) if Hex(q, r) in lat)
     return Fraction(hits, t * t)

@@ -293,9 +293,10 @@ class UnitRunner:
 
     Per-token incident counts accumulate in :attr:`incidents` so the
     engine can attribute recovery work to individual sweep points.  A
-    retry, timeout or corrupt payload is noted once, under the counter it
-    bumps in :class:`ResilienceStats`, so for those three the per-token
-    counts sum to the stats delta.
+    retry, timeout, corrupt payload or pool rebuild is noted once, under
+    the counter it bumps in :class:`ResilienceStats` (a rebuild on the
+    unit that hit the broken pool), so the per-token counts sum to the
+    stats delta.
     """
 
     def __init__(
@@ -426,6 +427,7 @@ class UnitRunner:
             ) from exc
         self._rebuilds += 1
         self.stats.pool_rebuilds += 1
+        self._note(unit.token, "pool_rebuilds")
         self._incident(
             "pool_rebuild", unit, level=logging.WARNING,
             rebuilds=self._rebuilds, error=repr(exc),
@@ -442,7 +444,6 @@ class UnitRunner:
         self._inflight.clear()
         self._rebuild_or_raise(first, exc)
         for unit in doomed:
-            self._note(unit.token, "pool_rebuilds")
             if self.policy is not None and unit.attempts >= self.policy.attempts:
                 raise UnitFailure(
                     f"unit {unit.token!r} failed after {unit.attempts} "

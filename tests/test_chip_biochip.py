@@ -116,6 +116,28 @@ class TestDerived:
         assert chip.is_fault_free()
         assert not clone.is_fault_free()
 
+    def test_copy_matches_a_fresh_chip_and_never_reaches_the_parent(self):
+        from repro.chip.builders import chip_from_lattice
+        from repro.designs.catalog import DTMB_2_6
+
+        def build():
+            return chip_from_lattice(RectRegion(7, 6), DTMB_2_6.spare_lattice)
+
+        parent, fresh = build(), build()
+        clone = parent.copy(name="clone")
+        assert clone.coords == fresh.coords
+        assert all(clone.neighbors(c) == fresh.neighbors(c) for c in fresh.coords)
+        assert [(c.role, c.health, c.label) for c in clone] == [
+            (c.role, c.health, c.label) for c in fresh
+        ]
+        primary = clone.primaries()[0].coord
+        clone.apply_fault_map([primary, clone.spares()[0].coord])
+        clone.set_label(primary, "detector")
+        assert parent.is_fault_free()
+        assert parent[primary].label is None
+        assert parent.name != clone.name == "clone"
+        assert len(clone.faulty_cells()) == 2
+
     def test_subchip(self):
         chip = tiny_chip()
         primaries_only = chip.subchip(lambda c: c.is_primary)

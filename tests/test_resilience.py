@@ -186,7 +186,7 @@ class TestPoolSurvival:
 # -- per-point incident attribution -------------------------------------------
 
 #: The incident counters a point record and the engine stats both carry.
-UNIT_INCIDENTS = ("retries", "timeouts", "corrupt_units")
+UNIT_INCIDENTS = ("retries", "timeouts", "corrupt_units", "pool_rebuilds")
 
 
 def assert_incidents_reconcile(engine, before):
@@ -232,6 +232,43 @@ class TestIncidentAttribution:
         assert flat_estimates(dtmb26_chip, engine) == clean
         assert engine.resilience.timeouts >= 1
         assert_incidents_reconcile(engine, before)
+
+    def test_pool_rebuilds_sum_to_the_engine_delta(self, dtmb26_chip):
+        # Every unit's first attempt kills its worker, so each break
+        # dooms both in-flight units; the rebuild is still one incident.
+        clean = flat_estimates(dtmb26_chip)
+        inner = PoolExecutor(jobs=2)
+        engine, executor = faulted_engine(
+            FaultSchedule(kill_every=1), inner=inner,
+            retry=RetryPolicy(attempts=4, backoff_base=0.0, pool_rebuilds=4),
+        )
+        before = engine.resilience.as_dict()
+        assert flat_estimates(dtmb26_chip, engine) == clean
+        assert engine.resilience.pool_rebuilds >= 1
+        assert engine.resilience.pool_rebuilds == inner.rebuilds
+        assert_incidents_reconcile(engine, before)
+
+    def test_submit_time_pool_break_is_attributed(self):
+        from concurrent.futures import BrokenExecutor
+
+        class BreaksOnFirstSubmit(InlineExecutor):
+            broken = True
+
+            def submit(self, fn, *args):
+                if self.broken:
+                    raise BrokenExecutor("pool is gone")
+                return super().submit(fn, *args)
+
+            def rebuild(self):
+                self.broken = False
+
+        executor = BreaksOnFirstSubmit(capacity=1)
+        executor.start(1)
+        runner = UnitRunner(executor, FAST)
+        runner.submit("unit", _identity, (3,))
+        assert runner.collect() == [("unit", 3)]
+        assert runner.stats.pool_rebuilds == 1
+        assert runner.incidents == {"unit": {"pool_rebuilds": 1}}
 
 
 # -- fold-level checkpoint resume ---------------------------------------------
