@@ -16,12 +16,10 @@ has no Monte-Carlo component.
 
 from __future__ import annotations
 
-import importlib.util
-import os
 import time
 
 from _emit import emit
-from conftest import report
+from conftest import load_test_module, report
 
 from repro.designs.catalog import DTMB_1_6, DTMB_2_6, DTMB_3_6, DTMB_4_4
 from repro.designs.interstitial import build_with_primary_count
@@ -39,19 +37,6 @@ ROUNDS = 3
 MIN_SPEEDUP = 10.0
 
 
-def _load_oracle():
-    # Loaded by path: putting tests/ on sys.path would let its conftest
-    # shadow this directory's.
-    path = os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests",
-        "fit_oracle.py",
-    )
-    spec = importlib.util.spec_from_file_location("fit_oracle", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.oracle_fit
-
-
 def _best_of(fit, before_pass=lambda: None):
     best, results = float("inf"), None
     for _ in range(ROUNDS):
@@ -63,7 +48,7 @@ def _best_of(fit, before_pass=lambda: None):
 
 
 def test_residue_fit_matches_and_beats_the_oracle():
-    oracle_fit = _load_oracle()
+    oracle_fit = load_test_module("fit_oracle").oracle_fit
     oracle_s, expected = _best_of(oracle_fit)
     fast_s, got = _best_of(
         build_with_primary_count, build_with_primary_count.cache_clear

@@ -31,5 +31,5 @@ def test_bench_fig7(benchmark, runs, engine):
     # Monte-Carlo on a flower-complete array validates the cluster model
     # (tolerance ~3 sigma of the binomial estimator at the chosen budget).
     tolerance = max(0.02, 3.0 * (0.25 / runs) ** 0.5)
-    for p, mc in result.montecarlo_check.items():
+    for p, mc in result.mc_check.items():
         assert abs(mc - dtmb16_yield(p, result.ns[0])) < tolerance

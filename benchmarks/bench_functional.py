@@ -22,13 +22,11 @@ Three questions :mod:`repro.functional` must answer at paper budgets
 
 from __future__ import annotations
 
-import importlib.util
-import os
 import time
 
 import numpy as np
 from _emit import emit
-from conftest import report
+from conftest import load_test_module, report
 
 from repro.designs.catalog import DTMB_2_6, DTMB_3_6, DTMB_4_4
 from repro.designs.interstitial import build_with_primary_count
@@ -111,18 +109,6 @@ def test_bench_funnel_hit_rates(benchmark, runs):
     assert results[DTMB_4_4.name][1].residue / runs > 0.5
 
 
-def _oracle_class():
-    """The object-model oracle lives with the tests; load it by path."""
-    path = os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), os.pardir,
-        "tests", "functional_oracle.py",
-    )
-    spec = importlib.util.spec_from_file_location("functional_oracle", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.FluidicsOracle
-
-
 def _residue_rows(struct, criterion, runs, max_rows):
     """The first ``max_rows`` survival rows the screens leave undecided."""
     ctx = context_for(struct, criterion)
@@ -156,7 +142,7 @@ MAX_RESIDUE_ROWS = 100
 
 def test_bench_residue_throughput(benchmark, runs):
     """Index-space residue vs the object-model fluidics stack, same rows."""
-    oracle_cls = _oracle_class()
+    oracle_cls = load_test_module("functional_oracle").FluidicsOracle
     struct = RepairStructure(build_with_primary_count(DTMB_3_6, 60).build())
     cases = {
         "routing": RoutingCriterion(deadline=200),

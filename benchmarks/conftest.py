@@ -15,7 +15,9 @@ an on-disk sweep result cache between invocations.
 
 from __future__ import annotations
 
+import importlib.util
 import os
+from types import ModuleType
 
 import pytest
 
@@ -40,6 +42,21 @@ def runs() -> int:
 def engine() -> SweepEngine:
     """One engine for the whole benchmark session (shared cache counters)."""
     return SweepEngine(jobs=JOBS, cache_dir=CACHE_DIR)
+
+
+def load_test_module(name: str) -> ModuleType:
+    """Load ``tests/<name>.py`` (an oracle kept with the tests) by path.
+
+    Putting ``tests/`` on ``sys.path`` instead would let its conftest
+    shadow this directory's.
+    """
+    path = os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests", f"{name}.py"
+    )
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def report(title: str, body: str) -> None:

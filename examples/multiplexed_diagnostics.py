@@ -22,7 +22,7 @@ from repro.assays import (
 )
 from repro.faults import FixedCountInjector
 from repro.viz import render_chip, render_legend
-from repro.yieldsim import YieldSimulator, yield_no_redundancy
+from repro.yieldsim import SweepEngine, yield_no_redundancy
 
 
 def main() -> None:
@@ -35,8 +35,8 @@ def main() -> None:
     # --- Figure 12: the DTMB(2,6) redesign -----------------------------
     layout = redesigned_chip()
     print(f"\nredesign: {layout.describe()}")
-    estimate = YieldSimulator(layout.chip, needed=layout.used).run_survival(
-        p=0.99, runs=10_000, seed=7
+    [estimate] = SweepEngine().survival_estimates(
+        layout.chip, [(0.99, 7)], 10_000, needed=layout.used
     )
     print(f"yield at p=0.99 (108 assay cells protected): {estimate}")
 

@@ -14,10 +14,11 @@ the paper evaluates on.
 Quick start::
 
     from repro.designs import DTMB_2_6, build_with_primary_count
-    from repro.yieldsim import YieldSimulator
+    from repro.yieldsim import SweepEngine
 
     chip = build_with_primary_count(DTMB_2_6, 100).build()
-    print(YieldSimulator(chip).run_survival(p=0.95, runs=10_000, seed=1))
+    [estimate] = SweepEngine().survival_estimates(chip, [(0.95, 1)], 10_000)
+    print(estimate)
 
 See ``examples/`` for full walkthroughs and ``repro.experiments`` for the
 drivers that regenerate every table and figure of the paper.

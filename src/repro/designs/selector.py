@@ -14,11 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.designs.catalog import TABLE1_DESIGNS
 from repro.designs.interstitial import build_with_primary_count
 from repro.designs.spec import DesignSpec
 from repro.errors import DesignError, SimulationError
-from repro.yieldsim.montecarlo import YieldSimulator
+from repro.yieldsim.kernel import RepairStructure, survival_successes
 from repro.yieldsim.stats import YieldEstimate
 
 __all__ = ["DesignRecommendation", "recommend_design", "required_survival_probability"]
@@ -61,6 +63,18 @@ class DesignRecommendation:
         return "\n".join(lines)
 
 
+def _survival_estimate(
+    struct: RepairStructure, p: float, runs: int, seed: int
+) -> YieldEstimate:
+    """Monte-Carlo yield at survival probability ``p`` on the kernel funnel.
+
+    Float64 draws keep the selector on its historical stream, so a seed
+    picks the same designs it always has.
+    """
+    successes, _ = survival_successes(struct, p, runs, seed, dtype=np.float64)
+    return YieldEstimate(successes=successes, trials=runs)
+
+
 def recommend_design(
     target_yield: float,
     p: float,
@@ -90,10 +104,8 @@ def recommend_design(
     candidates: List[Tuple[str, YieldEstimate]] = []
     chosen: Optional[DesignSpec] = None
     for i, spec in enumerate(ordered):
-        chip = build_with_primary_count(spec, n).build()
-        estimate = YieldSimulator(chip).run_survival(
-            p, runs=runs, seed=seed + i
-        )
+        struct = RepairStructure(build_with_primary_count(spec, n).build())
+        estimate = _survival_estimate(struct, p, runs, seed + i)
         candidates.append((spec.name, estimate))
         score = estimate.lo if confident else estimate.value
         if chosen is None and score >= target_yield:
@@ -120,23 +132,28 @@ def required_survival_probability(
     Answers the manufacturing-process question: "how good do my cells have
     to be for DTMB(s, p) to yield at least Y?"  Found by bisection on p
     (yield is monotone in p); the returned value is accurate to
-    ``tolerance`` in p, subject to Monte-Carlo noise at the given budget.
+    ``tolerance`` (which must be positive) in p, subject to Monte-Carlo
+    noise at the given budget.  A tolerance finer than float spacing stops
+    at adjacent floats.
     """
     if not 0.0 < target_yield < 1.0:
         raise SimulationError(
             f"target yield must be in (0, 1), got {target_yield}"
         )
-    chip = build_with_primary_count(spec, n).build()
-    sim = YieldSimulator(chip)
+    if not tolerance > 0.0:
+        raise SimulationError(f"tolerance must be > 0, got {tolerance}")
+    struct = RepairStructure(build_with_primary_count(spec, n).build())
 
     def estimate(p: float) -> float:
-        return sim.run_survival(p, runs=runs, seed=seed).value
+        return _survival_estimate(struct, p, runs, seed).value
 
     lo, hi = 0.5, 1.0
     if estimate(lo) >= target_yield:
         return lo
     while hi - lo > tolerance:
         mid = (lo + hi) / 2.0
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent floats
         if estimate(mid) >= target_yield:
             hi = mid
         else:

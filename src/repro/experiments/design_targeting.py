@@ -75,9 +75,10 @@ def run(
 ) -> TargetingResult:
     """Build the (process quality x yield target) design-choice table.
 
-    ``runs`` is the Monte-Carlo budget per recommendation; the selector
-    runs its own small sweeps, so ``engine`` is accepted for the uniform
-    experiment signature but has no effect.
+    ``runs`` is the Monte-Carlo budget per recommendation.  The selector
+    calls the kernel funnel directly at float64 (its historical stream),
+    so ``engine`` is accepted for the uniform experiment signature but
+    has no effect.
 
     ``"-"`` marks infeasible corners (no catalog design reaches the
     target); they appear at low p with aggressive targets, which is the

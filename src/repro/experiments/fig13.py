@@ -21,9 +21,8 @@ from repro.experiments.registry import DEFAULT_STOP_RULE, BudgetPolicy, register
 from repro.experiments.report import format_table
 from repro.viz.plot import ascii_chart
 from repro.yieldsim.engine import SweepEngine
-from repro.yieldsim.montecarlo import DEFAULT_RUNS
 from repro.yieldsim.stats import StopRule
-from repro.yieldsim.sweeps import DefectCountPoint, defect_count_sweep
+from repro.yieldsim.sweeps import DEFAULT_RUNS, DefectCountPoint, defect_count_sweep
 
 __all__ = ["Fig13Result", "run", "PAPER_PLATEAU_FAULTS", "PAPER_PLATEAU_YIELD"]
 

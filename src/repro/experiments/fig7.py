@@ -31,7 +31,7 @@ class Fig7Result:
     ns: Tuple[int, ...]
     ps: Tuple[float, ...]
     series: Dict[str, List[Tuple[float, float]]]
-    montecarlo_check: Dict[float, float]
+    mc_check: Dict[float, float]
 
     @property
     def headers(self) -> List[str]:
@@ -39,7 +39,7 @@ class Fig7Result:
         for n in self.ns:
             cols.append(f"DTMB(1,6) n={n}")
             cols.append(f"no spares n={n}")
-        if self.montecarlo_check:
+        if self.mc_check:
             cols.append(f"MC check n={self.ns[0]}")
         return cols
 
@@ -51,8 +51,8 @@ class Fig7Result:
             for n in self.ns:
                 row.append(f"{dtmb16_yield(p, n):.4f}")
                 row.append(f"{yield_no_redundancy(p, n):.4f}")
-            if self.montecarlo_check:
-                row.append(f"{self.montecarlo_check[p]:.4f}")
+            if self.mc_check:
+                row.append(f"{self.mc_check[p]:.4f}")
             out.append(tuple(row))
         return out
 
@@ -116,5 +116,5 @@ def run(
         )
         check = {p: est.value for p, est in zip(ps, estimates)}
     return Fig7Result(
-        ns=tuple(ns), ps=tuple(ps), series=series, montecarlo_check=check
+        ns=tuple(ns), ps=tuple(ps), series=series, mc_check=check
     )

@@ -19,9 +19,13 @@ from repro.experiments.registry import DEFAULT_STOP_RULE, BudgetPolicy, register
 from repro.experiments.report import format_table
 from repro.viz.plot import ascii_chart
 from repro.yieldsim.engine import SweepEngine
-from repro.yieldsim.montecarlo import DEFAULT_RUNS
 from repro.yieldsim.stats import StopRule
-from repro.yieldsim.sweeps import DEFAULT_P_GRID, SurvivalPoint, survival_sweep
+from repro.yieldsim.sweeps import (
+    DEFAULT_P_GRID,
+    DEFAULT_RUNS,
+    SurvivalPoint,
+    survival_sweep,
+)
 
 __all__ = ["Fig9Result", "run", "DEFAULT_DESIGNS", "DEFAULT_NS"]
 

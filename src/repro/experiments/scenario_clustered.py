@@ -41,10 +41,10 @@ from repro.yieldsim.defects import (
     geometry_for,
 )
 from repro.yieldsim.engine import SweepEngine
-from repro.yieldsim.montecarlo import DEFAULT_RUNS
 from repro.yieldsim.stats import StopRule
 from repro.yieldsim.sweeps import (
     DEFAULT_P_GRID,
+    DEFAULT_RUNS,
     SurvivalPoint,
     defect_model_sweep,
     survival_sweep,

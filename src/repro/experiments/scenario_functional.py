@@ -35,10 +35,10 @@ from repro.experiments.report import format_table
 from repro.functional import MultiplexedCriterion, RoutingCriterion
 from repro.viz.plot import ascii_chart
 from repro.yieldsim.engine import SweepEngine
-from repro.yieldsim.montecarlo import DEFAULT_RUNS
 from repro.yieldsim.stats import StopRule
 from repro.yieldsim.sweeps import (
     DEFAULT_P_GRID,
+    DEFAULT_RUNS,
     SurvivalPoint,
     default_engine,
     survival_sweep,

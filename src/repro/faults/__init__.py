@@ -2,15 +2,14 @@
 
 * :mod:`repro.faults.model` — the catastrophic/parametric taxonomy of
   Section 4 and the :class:`~repro.faults.model.FaultMap` container;
-* :mod:`repro.faults.injection` — Bernoulli (the paper's assumption),
-  fixed-count (Figure 13) and clustered spot-defect injectors;
+* :mod:`repro.faults.injection` — Bernoulli (the paper's assumption) and
+  fixed-count (Figure 13) injectors;
 * :mod:`repro.faults.parametric` — geometric-deviation process model.
 """
 
 from repro.faults.injection import (
     CATASTROPHIC_KINDS,
     BernoulliInjector,
-    ClusteredInjector,
     FixedCountInjector,
     make_rng,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "FaultMap",
     "BernoulliInjector",
     "FixedCountInjector",
-    "ClusteredInjector",
     "CATASTROPHIC_KINDS",
     "make_rng",
     "GeometricParameter",

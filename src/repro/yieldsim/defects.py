@@ -17,9 +17,8 @@ first-class, pluggable axis of every sweep:
   to the historical engine stream, so swapping it in changes nothing.
 * :class:`FixedCount` — exactly-m-fault maps (the Figure 13 regime).
 * :class:`SpotDefects` — compound-Poisson spot defects: centers land
-  uniformly and kill every cell within a lattice radius.  The vectorized
-  successor of :class:`repro.faults.injection.ClusteredInjector` (which now
-  delegates here).  With ``rate_cap`` set, sampling uses a thinned common
+  uniformly and kill every cell within a lattice radius, modelling larger
+  particles.  With ``rate_cap`` set, sampling uses a thinned common
   Poisson process so fault sets are *nested* across rates at equal seed —
   the CRN construction behind monotone severity sweeps.
 * :class:`NegativeBinomialClustered` — Stapper-style rate mixing: each
@@ -145,9 +144,8 @@ class DefectGeometry:
         """Padded ``(idx, mask)`` of the cells within ``radius`` of each cell.
 
         Row c lists the on-chip cells at lattice distance <= radius of cell
-        c (BFS over array adjacency — exactly the spot footprint
-        :class:`repro.faults.injection.ClusteredInjector` kills), padded
-        with zeros where ``mask`` is False.  Membership is symmetric, so a
+        c (BFS over array adjacency — the footprint a :class:`SpotDefects`
+        center at c kills), padded with zeros where ``mask`` is False.  Membership is symmetric, so a
         row is equally "the centers whose spot covers cell c".
         """
         if radius < 0:
@@ -437,29 +435,6 @@ class SpotDefects(_ModelBase):
     def params(self) -> Dict[str, object]:
         return {"rate": self.rate, "radius": self.radius, "rate_cap": self.rate_cap}
 
-    def sample_centers(
-        self, geometry: DefectGeometry, n_runs: int, rng: np.random.Generator
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(run_ids, centers)`` of the active defect centers of a batch.
-
-        The one sampling code path: :meth:`sample_batch` scatters these
-        into a survival matrix, and ``ClusteredInjector.sample`` turns
-        them into an object-level :class:`~repro.faults.model.FaultMap`.
-        With ``rate_cap`` set, the stream depends only on (cap, chip), and
-        a center is active iff its thinning mark falls below
-        ``rate / rate_cap`` — nested across rates by construction.
-        """
-        base = self.rate if self.rate_cap is None else self.rate_cap
-        counts = rng.poisson(base * geometry.n_cells, size=n_runs)
-        total = int(counts.sum())
-        run_ids = np.repeat(np.arange(n_runs, dtype=np.int64), counts)
-        centers = rng.integers(0, geometry.n_cells, size=total, dtype=np.int64)
-        if self.rate_cap is not None:
-            marks = rng.random(total)
-            keep = marks * self.rate_cap < self.rate
-            run_ids, centers = run_ids[keep], centers[keep]
-        return run_ids, centers
-
     def sample_batch(
         self,
         geometry: DefectGeometry,
@@ -467,9 +442,20 @@ class SpotDefects(_ModelBase):
         rng: np.random.Generator,
         dtype: type = np.float32,
     ) -> np.ndarray:
+        # With rate_cap set, the stream depends only on (cap, chip), and a
+        # center is active iff its thinning mark falls below
+        # rate / rate_cap — nested across rates by construction.
         n = geometry.n_cells
+        base = self.rate if self.rate_cap is None else self.rate_cap
+        counts = rng.poisson(base * n, size=n_runs)
+        total = int(counts.sum())
+        run_ids = np.repeat(np.arange(n_runs, dtype=np.int64), counts)
+        centers = rng.integers(0, n, size=total, dtype=np.int64)
+        if self.rate_cap is not None:
+            marks = rng.random(total)
+            keep = marks * self.rate_cap < self.rate
+            run_ids, centers = run_ids[keep], centers[keep]
         alive = np.ones((n_runs, n), dtype=bool)
-        run_ids, centers = self.sample_centers(geometry, n_runs, rng)
         if run_ids.size:
             idx, mask = geometry.ball(self.radius)
             cells = idx[centers]

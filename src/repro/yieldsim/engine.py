@@ -36,9 +36,8 @@ all runs are drawn in bulk with numpy, a funnel of exact vectorized
 reductions (zero-fault / dead-end / forced-move / private-spare peeling /
 Hall bounds) decides the overwhelming majority of runs, and only the
 ambiguous residue falls back to per-run integer Kuhn matching.  The
-funnel is *exact*, so the engine's numbers equal brute-force
-``YieldSimulator`` matching run for run; with ``dtype=float64`` they are
-bit-identical to it.
+funnel is *exact*, so the engine's numbers equal brute-force matching on
+the same draws run for run.
 
 The seed-derivation contract
 ----------------------------
@@ -201,8 +200,8 @@ class SweepEngine:
         completed (or cache-hit) point chunk.
     dtype:
         Uniform-draw dtype for the survival regime.  The ``float32``
-        default halves RNG cost; use ``numpy.float64`` to reproduce the
-        legacy ``YieldSimulator`` stream bit for bit.
+        default halves RNG cost; ``numpy.float64`` draws the historical
+        float64 stream the design selector also uses.
     shard_runs:
         Within-point sharding threshold *and* batch size: any point whose
         budget exceeds this many runs is split into ``shard_runs``-sized

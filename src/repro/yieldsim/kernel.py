@@ -3,10 +3,10 @@
 The repairability question behind every Monte-Carlo run — "can each faulty
 needed primary be matched to a distinct surviving adjacent spare?" — is a
 bipartite matching feasibility problem.  Solving it with per-run Python
-matching (``YieldSimulator._repairable``) is exact but slow.  This module
-answers the same question for a whole batch of fault maps at once, using a
-funnel of *exact* vectorized reductions; only the runs the screen cannot
-decide fall through to the integer Kuhn matching.
+matching is exact but slow.  This module answers the same question for a
+whole batch of fault maps at once, using a funnel of *exact* vectorized
+reductions; only the runs the screen cannot decide fall through to the
+integer Kuhn matching.
 
 The funnel, in order:
 
@@ -69,7 +69,6 @@ __all__ = [
     "PointSpec",
     "classify_repairable",
     "count_repairable",
-    "kuhn_repairable",
     "survival_batch_sizes",
     "fixed_fault_alive",
     "survival_successes",
@@ -92,9 +91,9 @@ UNDECIDED: int = -1
 #: run still undecided at the cap is handed to the exact matcher.
 _MAX_PEEL_ITERATIONS = 64
 
-#: Memory bound (bytes of survival matrix) replicated exactly from the
-#: original ``YieldSimulator`` batching so batch boundaries — and therefore
-#: the RNG stream — are bit-identical to the pre-engine implementation.
+#: Memory bound (bytes of survival matrix) per sampling batch.  Batch
+#: boundaries fix the RNG stream, so this constant is part of every
+#: fixed-seed result: changing it changes the numbers.
 _BATCH_BYTES = 8_000_000
 
 #: Rows per *classification* sub-batch are chosen so the screen's working
@@ -131,17 +130,13 @@ class ScreenStats:
     def as_dict(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, int]) -> "ScreenStats":
-        return cls(**{k: int(v) for k, v in data.items() if k in cls.__dataclass_fields__})
-
 
 class RepairStructure:
     """Precomputed primary->adjacent-spare structure of one chip.
 
-    Shared by the vectorized screen and the brute-force reference
-    simulator, so both answer the repairability question on exactly the
-    same bipartite graph.
+    Holds the bipartite graph both as per-primary adjacency tuples
+    (:attr:`adj`, in cell indices) and as the dense padded arrays the
+    vectorized screen works on.
 
     Parameters
     ----------
@@ -176,8 +171,7 @@ class RepairStructure:
 
         #: cell indices of the protected primaries, aligned with :attr:`adj`.
         self.needed_idx = np.array([index[c] for c in needed_coords], dtype=np.int64)
-        #: per-protected-primary tuple of adjacent spare *cell* indices —
-        #: the graph the reference Kuhn matching walks.
+        #: per-protected-primary tuple of adjacent spare *cell* indices.
         self.adj: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(index[s.coord] for s in chip.adjacent_spares(coord))
             for coord in needed_coords
@@ -234,38 +228,6 @@ class RepairStructure:
         if self._geometry is None:
             self._geometry = DefectGeometry.from_chip(self.chip)
         return self._geometry
-
-
-def kuhn_repairable(
-    adj: Tuple[Tuple[int, ...], ...],
-    faulty_positions: Iterable[int],
-    alive: np.ndarray,
-) -> bool:
-    """Kuhn matching feasibility: can every faulty primary get a spare?
-
-    ``adj`` maps protected-primary positions to adjacent spare cell
-    indices; ``alive`` is the per-cell survival row.  Correctness rests on
-    the standard augmenting-path theorem: if a left vertex cannot be
-    augmented at the moment it is processed, it is exposed in *some*
-    maximum matching, so no saturating matching exists and we can stop.
-    """
-    match_right: Dict[int, int] = {}
-
-    def try_augment(j: int, visited: Set[int]) -> bool:
-        for s in adj[j]:
-            if not alive[s] or s in visited:
-                continue
-            visited.add(s)
-            owner = match_right.get(s)
-            if owner is None or try_augment(owner, visited):
-                match_right[s] = j
-                return True
-        return False
-
-    for j in faulty_positions:
-        if not try_augment(j, set()):
-            return False
-    return True
 
 
 def _kuhn_reduced(
@@ -594,9 +556,8 @@ def shard_plan(runs: int, batch: int) -> Tuple[int, ...]:
 def survival_batch_sizes(runs: int, n_cells: int) -> Iterator[int]:
     """Batch sizes bounding the survival matrix at ~8 MB.
 
-    Replicates the original ``YieldSimulator.run_survival`` batching
-    formula exactly, so a given seed produces the identical RNG stream —
-    and therefore identical successes — in both implementations.
+    Every sampler draws in these batches, so a given ``(runs, seed)``
+    always produces the identical RNG stream.
     """
     batch = max(1, min(runs, _BATCH_BYTES // max(1, n_cells)))
     remaining = runs
@@ -650,10 +611,11 @@ def survival_successes(
     A thin wrapper over :func:`model_successes` with
     :class:`~repro.yieldsim.defects.IIDBernoulli` — which reproduces the
     historical stream draw for draw.  The default ``float32`` uniforms
-    halve RNG cost; pass ``dtype=np.float64`` to reproduce the exact RNG
-    stream of the original ``YieldSimulator.run_survival`` (same batching,
-    same draws), in which case the result is bit-identical to the
-    brute-force simulator — every funnel reduction is exact.
+    halve RNG cost; ``dtype=np.float64`` draws the stream of the
+    historical per-run simulator (same batching, same draws), and because
+    every funnel reduction is exact the successes then equal brute-force
+    Kuhn matching on those draws bit for bit.  The design selector
+    (:mod:`repro.designs.selector`) runs at float64 for that reason.
     """
     if not 0.0 <= p <= 1.0:
         raise SimulationError(f"survival probability must be in [0, 1], got {p}")
@@ -778,9 +740,8 @@ def fixed_fault_successes(
 ) -> Tuple[int, ScreenStats]:
     """Successes among ``runs`` exactly-m-fault maps (Figure 13 regime).
 
-    The sampling distribution matches ``YieldSimulator.run_fixed_faults``
-    (uniform m-subsets of all cells) but the draw is vectorized, so the
-    two implementations agree statistically, not bit-for-bit.
+    Each map is a uniform m-subset of all cells, drawn vectorized by
+    :class:`~repro.yieldsim.defects.FixedCount`.
     """
     if m < 0:
         raise SimulationError(f"fault count must be >= 0, got {m}")

@@ -29,7 +29,6 @@ from repro.yieldsim.defects import DefectModel
 from repro.yieldsim.effective import chip_effective_yield
 from repro.yieldsim.engine import EnginePoint, SweepEngine
 from repro.yieldsim.kernel import PointSpec
-from repro.yieldsim.montecarlo import DEFAULT_RUNS
 from repro.yieldsim.stats import StopRule, YieldEstimate
 
 __all__ = [
@@ -48,6 +47,9 @@ __all__ = [
 #: "i.i.d. survival at p" under some spatial regime (see
 #: :class:`repro.yieldsim.defects.ModelFamily`).
 ModelFamilyLike = Callable[[Biochip, float], DefectModel]
+
+#: The paper's run count.
+DEFAULT_RUNS = 10_000
 
 #: The survival-probability grid the paper's figures span.
 DEFAULT_P_GRID: Tuple[float, ...] = tuple(

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from yield_oracle import YieldSimulator
 
 from repro.designs.catalog import DTMB_1_6, DTMB_2_6, DTMB_4_4, TABLE1_DESIGNS
+from repro.designs.interstitial import build_with_primary_count
 from repro.designs.selector import (
     recommend_design,
     required_survival_probability,
@@ -61,6 +63,17 @@ class TestRecommendDesign:
         with pytest.raises(DesignError):
             recommend_design(0.9, p=0.9, designs=[])
 
+    @pytest.mark.parametrize("p,n,seed", [(0.93, 60, 11), (0.97, 100, 12)])
+    def test_candidates_equal_brute_force_oracle(self, p, n, seed):
+        """The kernel funnel at float64 reproduces the per-run simulator."""
+        runs = 600
+        rec = recommend_design(0.9, p=p, n=n, runs=runs, seed=seed)
+        ordered = sorted(TABLE1_DESIGNS, key=lambda d: d.redundancy_ratio)
+        for i, (spec, (name, estimate)) in enumerate(zip(ordered, rec.candidates)):
+            chip = build_with_primary_count(spec, n).build()
+            oracle = YieldSimulator(chip).run_survival(p, runs=runs, seed=seed + i)
+            assert (name, estimate) == (spec.name, oracle)
+
     def test_report_lists_all_candidates(self):
         rec = recommend_design(0.5, p=0.95, n=60, runs=400, seed=6)
         report = rec.format_report()
@@ -79,9 +92,6 @@ class TestRequiredSurvivalProbability:
         assert p_heavy <= p_light + 0.01
 
     def test_result_actually_achieves_target(self):
-        from repro.designs.interstitial import build_with_primary_count
-        from repro.yieldsim.montecarlo import YieldSimulator
-
         target = 0.85
         p_req = required_survival_probability(
             DTMB_2_6, target, n=60, runs=1500, seed=8
@@ -90,8 +100,18 @@ class TestRequiredSurvivalProbability:
         est = YieldSimulator(chip).run_survival(p_req, runs=4000, seed=9)
         assert est.value >= target - 0.04  # MC noise allowance
 
+    def test_tolerance_finer_than_float_spacing_terminates(self):
+        # Bisection stops once lo and hi are adjacent floats.
+        p_req = required_survival_probability(
+            DTMB_2_6, 0.5, n=60, runs=50, seed=3, tolerance=1e-300
+        )
+        assert 0.5 < p_req <= 1.0
+
     def test_validation(self):
         with pytest.raises(SimulationError):
             required_survival_probability(DTMB_2_6, 1.0)
         with pytest.raises(SimulationError):
             required_survival_probability(DTMB_2_6, 0.0)
+        for tolerance in (0.0, -0.01):
+            with pytest.raises(SimulationError):
+                required_survival_probability(DTMB_2_6, 0.9, tolerance=tolerance)

@@ -89,7 +89,7 @@ class TestFig7:
         result = fig7.run(ns=[60], runs=4000)
         from repro.yieldsim.analytical import dtmb16_yield
 
-        for p, mc in result.montecarlo_check.items():
+        for p, mc in result.mc_check.items():
             assert mc == pytest.approx(dtmb16_yield(p, 60), abs=0.025)
 
     def test_chart_and_report_render(self):

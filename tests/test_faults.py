@@ -11,7 +11,6 @@ from repro.designs.interstitial import build_chip
 from repro.errors import FaultModelError
 from repro.faults.injection import (
     BernoulliInjector,
-    ClusteredInjector,
     FixedCountInjector,
     make_rng,
 )
@@ -95,16 +94,6 @@ class TestBernoulliInjector:
         rate = total / (50 * len(chip))
         assert rate == pytest.approx(0.1, abs=0.02)
 
-    def test_survival_matrix_shape_and_rate(self):
-        inj = BernoulliInjector(0.8)
-        matrix = inj.sample_survival_matrix(200, 300, seed=3)
-        assert matrix.shape == (300, 200)
-        assert matrix.mean() == pytest.approx(0.8, abs=0.02)
-
-    def test_survival_matrix_validates(self):
-        with pytest.raises(FaultModelError):
-            BernoulliInjector(0.5).sample_survival_matrix(0, 10)
-
 
 class TestFixedCountInjector:
     def test_exact_count_distinct_cells(self):
@@ -135,45 +124,6 @@ class TestFixedCountInjector:
         expected = draws * 6 / len(chip)
         for count in counts.values():
             assert abs(count - expected) < expected  # loose 2x band
-
-    def test_fault_indices_matrix(self):
-        inj = FixedCountInjector(4)
-        picks = inj.sample_fault_indices(50, 20, seed=9)
-        assert picks.shape == (20, 4)
-        for row in picks:
-            assert len(set(row.tolist())) == 4
-
-
-class TestClusteredInjector:
-    def test_spot_kills_neighborhood(self):
-        chip = plain_chip(RectRegion(10, 10))
-        inj = ClusteredInjector(centers_per_cell=0.01, radius=1)
-        # With a positive rate, over several seeds we should observe at
-        # least one spot whose cells form a connected cluster.
-        found_cluster = False
-        for seed in range(30):
-            fm = inj.sample(chip, seed=seed)
-            if len(fm) >= 5:
-                found_cluster = True
-                break
-        assert found_cluster
-
-    def test_zero_rate_no_faults(self):
-        chip = plain_chip(RectRegion(4, 4))
-        assert len(ClusteredInjector(0.0).sample(chip, seed=1)) == 0
-
-    def test_radius_zero_kills_single_cells(self):
-        chip = plain_chip(RectRegion(6, 6))
-        inj = ClusteredInjector(centers_per_cell=0.05, radius=0)
-        fm = inj.sample(chip, seed=2)
-        # every fault is an isolated kill of the center itself
-        assert all(f.coord in chip for f in fm)
-
-    def test_parameter_validation(self):
-        with pytest.raises(FaultModelError):
-            ClusteredInjector(-0.1)
-        with pytest.raises(FaultModelError):
-            ClusteredInjector(0.1, radius=-1)
 
 
 class TestParametricProcess:

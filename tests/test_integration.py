@@ -9,6 +9,7 @@ middle to prove state survives a round trip.
 from __future__ import annotations
 
 import pytest
+from yield_oracle import YieldSimulator
 
 from repro.assays.chemistry import Species
 from repro.assays.chipspec import redesigned_chip
@@ -26,7 +27,7 @@ from repro.geometry.hexgrid import RectRegion
 from repro.reconfig.local import is_repairable, plan_local_repair
 from repro.reconfig.remap import CellRemap
 from repro.viz.ascii_art import render_chip
-from repro.yieldsim.montecarlo import YieldSimulator
+from repro.yieldsim.engine import SweepEngine
 
 
 class TestManufactureTestRepairOperate:
@@ -94,14 +95,15 @@ class TestYieldStoryEndToEnd:
         # At p = 0.99 the fabricated chip yields 0.3378; the DTMB(2,6)
         # redesign protects the same 108 cells far better.
         layout = redesigned_chip()
-        sim = YieldSimulator(layout.chip, needed=layout.used)
-        est = sim.run_survival(0.99, runs=3000, seed=21)
+        [est] = SweepEngine().survival_estimates(
+            layout.chip, [(0.99, 21)], 3000, needed=layout.used
+        )
         assert est.value > 0.80
         assert est.lo > 0.3378
 
     def test_yield_simulator_agrees_with_explicit_repair_loop(self):
-        # The vectorized simulator and the object-level repair API must
-        # agree run for run.
+        # The brute-force simulator and the object-level repair API must
+        # agree on the yield.
         chip = build_chip(DTMB_2_6, RectRegion(10, 10))
         injector = BernoulliInjector(0.95)
         explicit_successes = 0

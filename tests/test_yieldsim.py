@@ -23,7 +23,12 @@ from repro.yieldsim.analytical import (
     yield_no_redundancy,
 )
 from repro.yieldsim.effective import chip_effective_yield, effective_yield
-from repro.yieldsim.montecarlo import YieldSimulator
+from repro.yieldsim.engine import SweepEngine
+from repro.yieldsim.kernel import (
+    RepairStructure,
+    fixed_fault_successes,
+    survival_successes,
+)
 from repro.yieldsim.stats import YieldEstimate, wilson_interval
 from repro.yieldsim.sweeps import (
     analytical_curves_dtmb16,
@@ -32,6 +37,18 @@ from repro.yieldsim.sweeps import (
 )
 
 probabilities = st.floats(min_value=0.0, max_value=1.0)
+
+
+def survival(chip, p, runs, seed):
+    """One survival-regime point on the shipped engine."""
+    [estimate] = SweepEngine().survival_estimates(chip, [(p, seed)], runs)
+    return estimate
+
+
+def fixed_faults(chip, m, runs, seed):
+    """One fixed-fault-count point on the shipped engine."""
+    [estimate] = SweepEngine().fixed_fault_estimates(chip, [(m, seed)], runs)
+    return estimate
 
 
 class TestWilsonInterval:
@@ -109,91 +126,85 @@ class TestAnalytical:
 
 class TestMonteCarloSurvival:
     def test_p_one_always_succeeds(self, dtmb26_chip):
-        est = YieldSimulator(dtmb26_chip).run_survival(1.0, runs=200, seed=1)
+        est = survival(dtmb26_chip, 1.0, runs=200, seed=1)
         assert est.value == 1.0
 
     def test_p_zero_always_fails(self, dtmb26_chip):
         # Every cell faulty: nothing to repair with.
-        est = YieldSimulator(dtmb26_chip).run_survival(0.0, runs=200, seed=1)
+        est = survival(dtmb26_chip, 0.0, runs=200, seed=1)
         assert est.value == 0.0
 
     def test_deterministic_from_seed(self, dtmb26_chip):
-        sim = YieldSimulator(dtmb26_chip)
-        a = sim.run_survival(0.95, runs=500, seed=7)
-        b = sim.run_survival(0.95, runs=500, seed=7)
+        a = survival(dtmb26_chip, 0.95, runs=500, seed=7)
+        b = survival(dtmb26_chip, 0.95, runs=500, seed=7)
         assert a.successes == b.successes
 
     def test_matches_analytical_on_flower_chip(self):
         chip = build_flower_chip(60)
-        sim = YieldSimulator(chip)
         for p in (0.95, 0.99):
-            est = sim.run_survival(p, runs=8000, seed=11)
+            est = survival(chip, p, runs=8000, seed=11)
             assert est.consistent_with(dtmb16_yield(p, 60))
 
     def test_monotone_in_p_statistically(self, dtmb26_chip):
-        sim = YieldSimulator(dtmb26_chip)
-        low = sim.run_survival(0.90, runs=3000, seed=5)
-        high = sim.run_survival(0.98, runs=3000, seed=6)
+        low = survival(dtmb26_chip, 0.90, runs=3000, seed=5)
+        high = survival(dtmb26_chip, 0.98, runs=3000, seed=6)
         assert high.clearly_above(low)
 
     def test_redundancy_ordering(self):
         # At equal (n, p), DTMB(4,4) must clearly beat DTMB(2,6).
         n, p = 100, 0.94
-        light = YieldSimulator(build_with_primary_count(DTMB_2_6, n).build())
-        heavy = YieldSimulator(build_with_primary_count(DTMB_4_4, n).build())
-        assert heavy.run_survival(p, 3000, seed=1).clearly_above(
-            light.run_survival(p, 3000, seed=2)
+        light = build_with_primary_count(DTMB_2_6, n).build()
+        heavy = build_with_primary_count(DTMB_4_4, n).build()
+        assert survival(heavy, p, 3000, seed=1).clearly_above(
+            survival(light, p, 3000, seed=2)
         )
 
     def test_beats_no_redundancy(self, dtmb26_chip):
         n = dtmb26_chip.primary_count
-        est = YieldSimulator(dtmb26_chip).run_survival(0.97, runs=3000, seed=3)
+        est = survival(dtmb26_chip, 0.97, runs=3000, seed=3)
         assert est.value > yield_no_redundancy(0.97, n)
 
     def test_chip_not_mutated(self, dtmb26_chip):
-        YieldSimulator(dtmb26_chip).run_survival(0.9, runs=100, seed=1)
+        survival(dtmb26_chip, 0.9, runs=100, seed=1)
         assert dtmb26_chip.is_fault_free()
 
     def test_validation(self, dtmb26_chip):
-        sim = YieldSimulator(dtmb26_chip)
+        struct = RepairStructure(dtmb26_chip)
         with pytest.raises(SimulationError):
-            sim.run_survival(1.2, runs=10)
+            survival_successes(struct, 1.2, 10)
         with pytest.raises(SimulationError):
-            sim.run_survival(0.9, runs=0)
+            survival_successes(struct, 0.9, 0)
 
     def test_needed_must_be_primary(self, dtmb26_chip):
         spare = dtmb26_chip.spares()[0].coord
         with pytest.raises(SimulationError):
-            YieldSimulator(dtmb26_chip, needed=[spare])
+            RepairStructure(dtmb26_chip, needed=[spare])
 
     def test_needed_must_be_on_chip(self, dtmb26_chip):
         from repro.geometry.hex import Hex
 
         with pytest.raises(SimulationError):
-            YieldSimulator(dtmb26_chip, needed=[Hex(99, 99)])
+            RepairStructure(dtmb26_chip, needed=[Hex(99, 99)])
 
 
 class TestMonteCarloFixedFaults:
     def test_zero_faults_perfect(self, dtmb26_chip):
-        est = YieldSimulator(dtmb26_chip).run_fixed_faults(0, runs=100, seed=1)
+        est = fixed_faults(dtmb26_chip, 0, runs=100, seed=1)
         assert est.value == 1.0
 
     def test_all_cells_faulty_fails(self, dtmb26_chip):
-        sim = YieldSimulator(dtmb26_chip)
-        est = sim.run_fixed_faults(len(dtmb26_chip), runs=50, seed=1)
+        est = fixed_faults(dtmb26_chip, len(dtmb26_chip), runs=50, seed=1)
         assert est.value == 0.0
 
     def test_monotone_in_m_statistically(self, dtmb26_chip):
-        sim = YieldSimulator(dtmb26_chip)
-        low = sim.run_fixed_faults(3, runs=2000, seed=2)
-        high = sim.run_fixed_faults(20, runs=2000, seed=3)
+        low = fixed_faults(dtmb26_chip, 3, runs=2000, seed=2)
+        high = fixed_faults(dtmb26_chip, 20, runs=2000, seed=3)
         assert low.clearly_above(high)
 
     def test_deterministic(self, dtmb26_chip):
-        sim = YieldSimulator(dtmb26_chip)
         assert (
-            sim.run_fixed_faults(8, runs=400, seed=9).successes
-            == sim.run_fixed_faults(8, runs=400, seed=9).successes
+            fixed_faults(dtmb26_chip, 8, runs=400, seed=9).successes
+            == fixed_faults(dtmb26_chip, 8, runs=400, seed=9).successes
         )
 
     def test_single_fault_on_two_spare_design_mostly_survives(self):
@@ -203,16 +214,16 @@ class TestMonteCarloFixedFaults:
         interior_ok = all(
             len(chip.adjacent_spares(c.coord)) >= 1 for c in chip.primaries()
         )
-        est = YieldSimulator(chip).run_fixed_faults(1, runs=500, seed=4)
+        est = fixed_faults(chip, 1, runs=500, seed=4)
         if interior_ok:
             assert est.value == 1.0
 
     def test_validation(self, dtmb26_chip):
-        sim = YieldSimulator(dtmb26_chip)
+        struct = RepairStructure(dtmb26_chip)
         with pytest.raises(SimulationError):
-            sim.run_fixed_faults(-1, runs=10)
+            fixed_fault_successes(struct, -1, runs=10)
         with pytest.raises(SimulationError):
-            sim.run_fixed_faults(len(dtmb26_chip) + 1, runs=10)
+            fixed_fault_successes(struct, len(dtmb26_chip) + 1, runs=10)
 
 
 class TestEffectiveYield:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from yield_oracle import YieldSimulator
 
 from repro.designs.catalog import DTMB_1_6, DTMB_2_6, DTMB_3_6, DTMB_4_4
 from repro.designs.interstitial import (
@@ -32,11 +33,9 @@ from repro.yieldsim.kernel import (
     RepairStructure,
     classify_repairable,
     fixed_fault_alive,
-    kuhn_repairable,
     simulate_points,
     survival_successes,
 )
-from repro.yieldsim.montecarlo import YieldSimulator
 from repro.yieldsim.sweeps import (
     DEFAULT_P_GRID,
     defect_count_sweep,
@@ -45,7 +44,7 @@ from repro.yieldsim.sweeps import (
 
 
 def brute_force_verdicts(chip, struct, alive):
-    """Per-run repairability by the seed implementation's Kuhn matching."""
+    """Per-run repairability by the oracle's Kuhn matching."""
     sim = YieldSimulator(chip)
     out = np.empty(alive.shape[0], dtype=np.int8)
     for r in range(alive.shape[0]):
@@ -109,15 +108,6 @@ class TestScreeningKernel:
         assert struct.max_degree == 1
         _, stats = survival_successes(struct, 0.9, 2000, seed=5)
         assert stats.residue == 0
-
-    def test_kuhn_reference_agrees_with_simulator(self, dtmb26_chip):
-        sim = YieldSimulator(dtmb26_chip)
-        rng = np.random.default_rng(8)
-        alive = rng.random(len(dtmb26_chip)) < 0.7
-        faulty = np.nonzero(~alive[sim._needed_idx])[0].tolist()
-        assert kuhn_repairable(sim._adj, faulty, alive) == sim._repairable(
-            faulty, alive
-        )
 
     def test_point_spec_validation(self, dtmb26_chip):
         struct = RepairStructure(dtmb26_chip)
