@@ -23,6 +23,7 @@ from repro.faults.parametric import (
 )
 from repro.geometry.hex import Hex
 from repro.geometry.hexgrid import RectRegion
+from repro.yieldsim.defects import SpotDefects, geometry_for
 
 
 class TestFaultModel:
@@ -124,6 +125,31 @@ class TestFixedCountInjector:
         expected = draws * 6 / len(chip)
         for count in counts.values():
             assert abs(count - expected) < expected  # loose 2x band
+
+
+class TestClusteredInjector:
+    """Clustered (spot) defects, sampled by :class:`SpotDefects`."""
+
+    def test_zero_rate_no_faults(self):
+        geometry = geometry_for(plain_chip(RectRegion(4, 4)))
+        assert SpotDefects(0.0).sample_batch(geometry, 20, make_rng(1)).all()
+
+    def test_radius_zero_kills_single_cells(self):
+        geometry = geometry_for(plain_chip(RectRegion(6, 6)))
+        # A radius-0 spot is its center alone, so each cell dies
+        # independently with probability 1 - exp(-rate).
+        assert (geometry.ball_sizes(0) == 1).all()
+        model = SpotDefects(0.05, radius=0)
+        expected = 1.0 - np.exp(-0.05)
+        assert model.mean_kill_fraction(geometry) == pytest.approx(expected)
+        alive = model.sample_batch(geometry, 4000, make_rng(2))
+        assert (~alive).mean() == pytest.approx(expected, abs=0.005)
+
+    def test_parameter_validation(self):
+        with pytest.raises(FaultModelError):
+            SpotDefects(-0.1)
+        with pytest.raises(FaultModelError):
+            SpotDefects(0.1, radius=-1)
 
 
 class TestParametricProcess:
